@@ -271,122 +271,6 @@ void BM_GraphVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphVerify);
 
-void BM_EncoderStackStep(benchmark::State& state) {
-  // A full steady-state train step (forward, loss, backward) on a small
-  // two-layer stack: planned (arena-backed, zero allocations) vs owning
-  // (per-tensor buffers). Single-threaded so the allocator/cache effect
-  // is what's measured, not pool scaling.
-  using namespace xflow::transformer;
-  ThreadGuard threads(1);
-  const bool planned = state.range(0) != 0;
-  EncoderConfig cfg;
-  cfg.dims.b = 2;
-  cfg.dims.j = cfg.dims.k = 32;
-  cfg.dims.h = 4;
-  cfg.dims.p = 16;
-  cfg.dims.i = 64;
-  cfg.dims.u = 128;
-  cfg.dropout_prob = 0.1f;
-  constexpr int kLayers = 2;
-  EncoderStackT<Half> stack(cfg, kLayers, 3);
-  EncoderStackWorkspaceT<Half> workspace(cfg, kLayers);
-  std::vector<EncoderActivationsT<Half>> acts;
-  std::vector<EncoderGradientsT<Half>> grads;
-  if (planned) stack.BindWorkspace(workspace, acts, grads);
-  const Shape ibj("ibj", {cfg.dims.i, cfg.dims.b, cfg.dims.j});
-  auto x = TensorH::Random(ibj, 5);
-  auto target = TensorH::Random(ibj, 6);
-  TensorH d_y(ibj);
-  for (auto _ : state) {
-    const auto& y = stack.Forward(x, acts);
-    benchmark::DoNotOptimize(MseLoss(y, target, d_y));
-    stack.Backward(d_y, acts, grads);
-    benchmark::DoNotOptimize(grads.front().d_x.data());
-  }
-  if (planned) {
-    state.counters["planned_mb"] = benchmark::Counter(
-        static_cast<double>(workspace.planned_bytes()) / 1048576.0);
-  }
-}
-BENCHMARK(BM_EncoderStackStep)->ArgName("planned")->Arg(0)->Arg(1);
-
-void BM_EncoderStackStepGraphExec(benchmark::State& state) {
-  // The same planned steady-state train step, driven by the graph-level
-  // executor instead of the hand-wired kernel sequence: the schedule
-  // interpretation overhead should disappear into the kernel time
-  // (results are bitwise identical by test).
-  using namespace xflow::transformer;
-  ThreadGuard threads(1);
-  EncoderConfig cfg;
-  cfg.dims.b = 2;
-  cfg.dims.j = cfg.dims.k = 32;
-  cfg.dims.h = 4;
-  cfg.dims.p = 16;
-  cfg.dims.i = 64;
-  cfg.dims.u = 128;
-  cfg.dropout_prob = 0.1f;
-  cfg.use_graph_executor = true;
-  constexpr int kLayers = 2;
-  EncoderStackT<Half> stack(cfg, kLayers, 3);
-  EncoderStackWorkspaceT<Half> workspace(cfg, kLayers);
-  std::vector<EncoderActivationsT<Half>> acts;
-  std::vector<EncoderGradientsT<Half>> grads;
-  stack.BindWorkspace(workspace, acts, grads);
-  const Shape ibj("ibj", {cfg.dims.i, cfg.dims.b, cfg.dims.j});
-  auto x = TensorH::Random(ibj, 5);
-  auto target = TensorH::Random(ibj, 6);
-  TensorH d_y(ibj);
-  for (auto _ : state) {
-    const auto& y = stack.Forward(x, acts);
-    benchmark::DoNotOptimize(MseLoss(y, target, d_y));
-    stack.Backward(d_y, acts, grads);
-    benchmark::DoNotOptimize(grads.front().d_x.data());
-  }
-}
-BENCHMARK(BM_EncoderStackStepGraphExec);
-
-void BM_EncoderStackStepTaskSched(benchmark::State& state) {
-  // The graph-executor train step again, sweeping the task scheduler:
-  // sched:0 runs the serial step loop, sched:1 dispatches dependency-free
-  // steps concurrently over the work-stealing pool. On a multi-core box
-  // the 8-thread sched:1 row should beat sched:0 (independent QKV / dW
-  // branches overlap); results are bitwise identical by test.
-  using namespace xflow::transformer;
-  ThreadGuard threads(static_cast<int>(state.range(0)));
-  EncoderConfig cfg;
-  cfg.dims.b = 2;
-  cfg.dims.j = cfg.dims.k = 32;
-  cfg.dims.h = 4;
-  cfg.dims.p = 16;
-  cfg.dims.i = 64;
-  cfg.dims.u = 128;
-  cfg.dropout_prob = 0.1f;
-  cfg.use_graph_executor = true;
-  cfg.use_task_scheduler = state.range(1) != 0;
-  constexpr int kLayers = 2;
-  EncoderStackT<Half> stack(cfg, kLayers, 3);
-  EncoderStackWorkspaceT<Half> workspace(cfg, kLayers);
-  std::vector<EncoderActivationsT<Half>> acts;
-  std::vector<EncoderGradientsT<Half>> grads;
-  stack.BindWorkspace(workspace, acts, grads);
-  const Shape ibj("ibj", {cfg.dims.i, cfg.dims.b, cfg.dims.j});
-  auto x = TensorH::Random(ibj, 5);
-  auto target = TensorH::Random(ibj, 6);
-  TensorH d_y(ibj);
-  for (auto _ : state) {
-    const auto& y = stack.Forward(x, acts);
-    benchmark::DoNotOptimize(MseLoss(y, target, d_y));
-    stack.Backward(d_y, acts, grads);
-    benchmark::DoNotOptimize(grads.front().d_x.data());
-  }
-}
-BENCHMARK(BM_EncoderStackStepTaskSched)
-    ->ArgNames({"threads", "sched"})
-    ->Args({1, 1})
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->UseRealTime();
-
 void BM_QkvBranchConcurrency(benchmark::State& state) {
   // The scheduler's motivating shape in isolation: the unfused Q/K/V
   // projection contractions are path-free branches of the graph, so a
@@ -441,8 +325,7 @@ void BM_WholeStackStep(benchmark::State& state) {
   // and the concurrent dispatcher overlaps steps across layers. ckpt:1
   // recomputes layer 0's forward inside backward (checkpointing) -- the
   // peak_mb counters show the memory it buys; the time delta is what it
-  // costs. Bitwise identical to BM_EncoderStackStep's per-layer math by
-  // test.
+  // costs. Bitwise identical to the hand-wired reference by test.
   using namespace xflow::transformer;
   ThreadGuard threads(1);
   const bool ckpt = state.range(0) != 0;
@@ -474,6 +357,46 @@ void BM_WholeStackStep(benchmark::State& state) {
       static_cast<double>(arena.plan().PeakBytes()) / 1048576.0);
 }
 BENCHMARK(BM_WholeStackStep)->ArgName("ckpt")->Arg(0)->Arg(1);
+
+void BM_WholeStackStepTaskSched(benchmark::State& state) {
+  // The whole-stack train step again, sweeping the task scheduler: sched:0
+  // runs the serial step loop, sched:1 dispatches dependency-free steps
+  // concurrently over the work-stealing pool. On a multi-core box the
+  // 8-thread sched:1 row should beat sched:0 (independent QKV / dW
+  // branches overlap, across layers too); results are bitwise identical
+  // by test.
+  using namespace xflow::transformer;
+  ThreadGuard threads(static_cast<int>(state.range(0)));
+  EncoderConfig cfg;
+  cfg.dims.b = 2;
+  cfg.dims.j = cfg.dims.k = 32;
+  cfg.dims.h = 4;
+  cfg.dims.p = 16;
+  cfg.dims.i = 64;
+  cfg.dims.u = 128;
+  cfg.dropout_prob = 0.1f;
+  cfg.use_task_scheduler = state.range(1) != 0;
+  constexpr int kLayers = 2;
+  EncoderStackT<Half> stack(cfg, kLayers, 3);
+  auto arena = MakeStackArena<Half>(cfg, {.num_layers = kLayers});
+  const Shape ibj("ibj", {cfg.dims.i, cfg.dims.b, cfg.dims.j});
+  auto x = TensorH::Random(ibj, 5);
+  auto target = TensorH::Random(ibj, 6);
+  TensorH d_y(ibj);
+  std::vector<EncoderGradientsT<Half>> grads;
+  for (auto _ : state) {
+    const auto& y = stack.Forward(x, arena);
+    benchmark::DoNotOptimize(MseLoss(y, target, d_y));
+    stack.Backward(d_y, arena, grads);
+    benchmark::DoNotOptimize(grads.front().d_x.data());
+  }
+}
+BENCHMARK(BM_WholeStackStepTaskSched)
+    ->ArgNames({"threads", "sched"})
+    ->Args({1, 1})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->UseRealTime();
 
 void BM_WholeStackPlan(benchmark::State& state) {
   // Whole-stack planning cost at full BERT-base depth (12 layers,
@@ -563,9 +486,9 @@ BENCHMARK(BM_EinsumLowering)
     ->UseRealTime();
 
 void BM_AutotuneWarmVsCold(benchmark::State& state) {
-  // What tuning a cold bucket costs (roofline ranking plus best-of-two
-  // timing of every execution candidate) vs the warm steady state the
-  // executor lives in (one map lookup under a mutex).
+  // What tuning a cold bucket costs (best-of-two timing of every
+  // execution candidate) vs the warm steady state the executor lives in
+  // (one map lookup under a mutex).
   ThreadGuard threads(1);
   const bool warm = state.range(0) != 0;
   const auto spec = EinsumSpec::Parse("mk,kn->mn");

@@ -5,20 +5,15 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <mutex>
+#include <set>
 #include <string>
 
-#include "config/selection.hpp"
-#include "sim/device.hpp"
+#include "common/thread_annotations.hpp"
 #include "tensor/memstats.hpp"
 
 namespace xflow::config {
 
 namespace {
-
-/// How deep the sim ranking is trusted before measuring (Sec. VI-A keeps
-/// only a handful of configurations per contraction in play).
-constexpr int kSimTopK = 4;
 
 std::int64_t RoundUpPow2(std::int64_t v) {
   std::int64_t p = 1;
@@ -26,13 +21,15 @@ std::int64_t RoundUpPow2(std::int64_t v) {
   return p;
 }
 
-std::mutex& CacheMutex() {
-  static std::mutex mu;
-  return mu;
-}
+/// The process-wide tuned entries plus the buckets being measured now.
+struct TuneCache {
+  Mutex mu;
+  std::map<ShapeBucket, TunedEntry> entries XFLOW_GUARDED_BY(mu);
+  std::set<ShapeBucket> in_flight XFLOW_GUARDED_BY(mu);
+};
 
-std::map<ShapeBucket, TunedEntry>& Cache() {
-  static std::map<ShapeBucket, TunedEntry> cache;
+TuneCache& Cache() {
+  static TuneCache cache;
   return cache;
 }
 
@@ -46,7 +43,6 @@ AutotuneMode ParseAutotuneMode(const char* value) {
   if (v == "off" || v == "0" || v == "false" || v == "no") {
     return AutotuneMode::kOff;
   }
-  if (v == "sim") return AutotuneMode::kSim;
   return AutotuneMode::kMeasure;
 }
 
@@ -91,43 +87,46 @@ TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
                     AutotuneMode mode) {
   if (mode == AutotuneMode::kOff) return TunedEntry{};
 
-  // The lock is held across tuning so a bucket is tuned exactly once
-  // even when the task scheduler dispatches two same-bucket contractions
-  // concurrently: the loser blocks, then hits the cache. Measurement
-  // under the lock cannot deadlock -- the pool's waiters execute their
-  // own pending tasks.
-  const std::lock_guard<std::mutex> lock(CacheMutex());
-  auto& cache = Cache();
-  if (const auto it = cache.find(bucket); it != cache.end()) {
-    memstats::RecordAutotuneHit();
-    return it->second;
-  }
-
-  TunedEntry entry;
-  static const sim::GpuModel model{sim::DeviceSpec::V100()};
-  const GemmExtents extents{bucket.m, bucket.n, bucket.k, bucket.batch};
-  const auto sim_ranked = EnumerateCandidates(model, extents, kSimTopK);
-  if (!sim_ranked.empty()) {
-    entry.algorithm = sim_ranked.front().algorithm;
-    entry.sim_us = sim_ranked.front().sim_us;
+  TuneCache& cache = Cache();
+  bool in_flight = false;
+  {
+    const MutexLock lock(cache.mu);
+    if (const auto it = cache.entries.find(bucket);
+        it != cache.entries.end()) {
+      memstats::RecordAutotuneHit();
+      return it->second;
+    }
+    in_flight = !cache.in_flight.insert(bucket).second;
   }
   const auto candidates = ExecCandidates(bucket);
-  entry.exec = candidates.front();
-  if (mode == AutotuneMode::kMeasure && measure) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const auto& cand : candidates) {
-      // Best-of-two damps scheduler noise; every candidate computes the
-      // same bits, so re-running the contraction is side-effect-free.
-      const double t = std::min(measure(cand), measure(cand));
-      if (t < best) {
-        best = t;
-        entry.exec = cand;
+  TunedEntry entry{.exec = candidates.front()};
+  // Being measured further up this thread's stack, or by another thread:
+  // run the heuristic now rather than wait for the winner.
+  if (in_flight) return entry;
+
+  try {
+    if (measure) {
+      double best = std::numeric_limits<double>::infinity();
+      for (const auto& cand : candidates) {
+        // Best-of-two damps scheduler noise; every candidate computes the
+        // same bits, so re-running the contraction is side-effect-free.
+        const double t = std::min(measure(cand), measure(cand));
+        if (t < best) {
+          best = t;
+          entry.exec = cand;
+        }
       }
+      entry.measured = true;
     }
-    entry.measured = true;
+  } catch (...) {
+    const MutexLock lock(cache.mu);
+    cache.in_flight.erase(bucket);
+    throw;
   }
   memstats::RecordAutotuneMeasure();
-  cache.emplace(bucket, entry);
+  const MutexLock lock(cache.mu);
+  cache.in_flight.erase(bucket);
+  cache.entries.emplace(bucket, entry);
   return entry;
 }
 
@@ -136,8 +135,9 @@ TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure) {
 }
 
 void ResetAutotuneCacheForTesting() {
-  const std::lock_guard<std::mutex> lock(CacheMutex());
-  Cache().clear();
+  TuneCache& cache = Cache();
+  const MutexLock lock(cache.mu);
+  cache.entries.clear();
 }
 
 }  // namespace xflow::config

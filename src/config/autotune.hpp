@@ -3,23 +3,19 @@
 // The paper's config-selection machinery picks layouts/algorithms
 // offline; this module makes it live: the first time the executor
 // dispatches a contraction of a given (EinsumClass, bucketed extents,
-// element size), the autotuner enumerates candidate configurations
-// (config/selection.hpp's EnumerateCandidates over the
-// layouts/contraction_space sweep), prunes them with the sim/ roofline
-// model, optionally measures the surviving execution-strategy candidates
-// once on the real kernels, and caches the winner process-wide. Repeat
-// steps -- and warm serving plans, which key their plan cache the same
-// way -- always run the cached config and never re-measure (asserted via
-// memstats::autotune_measures / autotune_hits).
+// element size), the autotuner measures the execution-strategy
+// candidates once on the real kernels and caches the winner
+// process-wide. Repeat steps -- and warm serving plans, which key their
+// plan cache the same way -- always run the cached config and never
+// re-measure (asserted via memstats::autotune_measures / autotune_hits).
 //
 // Every tunable knob is numerics-free (see EinsumExecConfig), so tuning
 // never changes results: measuring simply re-runs the real contraction,
 // which is legal whenever beta == 0 (the executor's only mode).
 //
 // XFLOW_AUTOTUNE selects the mode: "measure" (default) measures the
-// sim-pruned candidates; "sim" trusts the roofline ranking without
-// touching the host timers (deterministic -- what sanitizer CI runs);
-// "off" bypasses the cache and always returns the built-in heuristic.
+// candidates; "off" bypasses the cache and always returns the built-in
+// heuristic.
 #pragma once
 
 #include <compare>
@@ -31,12 +27,12 @@
 
 namespace xflow::config {
 
-enum class AutotuneMode { kOff, kSim, kMeasure };
+enum class AutotuneMode { kOff, kMeasure };
 
 /// The pure decision behind AutotuneModeFromEnv (exposed for tests):
 /// `value` is the environment string or nullptr for unset. "off" / "0" /
-/// "false" / "no" -> kOff; "sim" -> kSim; anything else (including
-/// unset, "measure", "on") -> kMeasure.
+/// "false" / "no" -> kOff; anything else (including unset, "measure",
+/// "on") -> kMeasure.
 AutotuneMode ParseAutotuneMode(const char* value);
 
 /// XFLOW_AUTOTUNE, read once per process.
@@ -60,8 +56,6 @@ ShapeBucket BucketOf(EinsumClass cls, const GemmExtents& extents,
 /// The tuned decision for one bucket.
 struct TunedEntry {
   EinsumExecConfig exec;   // winning execution strategy
-  int algorithm = -1;      // sim-best device algorithm id (diagnostics)
-  double sim_us = 0;       // roofline estimate of the sim-best candidate
   bool measured = false;   // a real timing pass picked `exec`
 };
 
@@ -71,10 +65,19 @@ struct TunedEntry {
 using MeasureFn = std::function<double(const EinsumExecConfig&)>;
 
 /// The cached entry for the bucket, tuning on first call (kOff bypasses
-/// the cache entirely). In kMeasure mode with a non-null `measure`, the
-/// candidate strategies are timed once and the fastest wins; otherwise
-/// the deterministic sim-ranked default wins. Cache fills are metered
-/// via memstats::autotune_measures, warm lookups via autotune_hits.
+/// the cache entirely). With a non-null `measure`, the candidate
+/// strategies are timed once and the fastest wins; otherwise the
+/// heuristic default wins. Cache fills are metered via
+/// memstats::autotune_measures, warm lookups via autotune_hits.
+///
+/// The cache lock is held only for lookup and insert, never across
+/// `measure`: a measured contraction's pool waiters may run other graph
+/// steps, which can call Autotune again on the same thread. A call for a
+/// bucket that is being measured right now -- nested or concurrent --
+/// returns the heuristic `ExecCandidates(bucket).front()` without
+/// blocking and without caching it. Every candidate computes the same
+/// bits, so this changes only speed; each bucket is still measured
+/// exactly once.
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure,
                     AutotuneMode mode);
 TunedEntry Autotune(const ShapeBucket& bucket, const MeasureFn& measure);

@@ -14,7 +14,6 @@
 
 #include "fusion/fuser.hpp"
 #include "graph/graph.hpp"
-#include "layouts/contraction_space.hpp"
 #include "sim/kernel_model.hpp"
 
 namespace xflow::config {
@@ -47,22 +46,6 @@ struct SelectionResult {
   /// kernel name; 1.0 for stages running their unconstrained best.
   [[nodiscard]] double StagePenalty(const std::string& kernel_name) const;
 };
-
-/// One sim-ranked autotuner candidate configuration of a contraction.
-struct CandidateConfig {
-  layouts::GemmLayout layout;
-  int algorithm = 0;
-  double sim_us = 0;
-};
-
-/// The `top_k` fastest (layout, algorithm) configurations of `extents`
-/// under the roofline model, best first (deterministic tie-break by
-/// sweep order). This is the enumeration + pruning half of the online
-/// autotuner (config/autotune.hpp): the device model discards the
-/// hopeless configurations so only a handful are ever measured.
-std::vector<CandidateConfig> EnumerateCandidates(const sim::GpuModel& model,
-                                                 const GemmExtents& extents,
-                                                 int top_k);
 
 /// Runs selection over the forward part of the fused encoder schedule.
 SelectionResult SelectConfigurations(const sim::GpuModel& model,

@@ -97,7 +97,7 @@ struct ExecutorOptions {
 };
 
 /// Interprets a DataflowGraph over a planned Workspace slab. `plan` and
-/// `workspace` (typically a LayerArenaT's) must outlive the executor and
+/// `workspace` (typically a StackArenaT's) must outlive the executor and
 /// the workspace must already be reserved to plan->peak_bytes().
 template <typename T>
 class GraphExecutorT {

@@ -8,16 +8,6 @@
 namespace xflow::transformer {
 
 template <typename T>
-LayerArenaT<T>::LayerArenaT(const graph::DataflowGraph& graph,
-                            graph::PlanOptions options)
-    : LayerArenaT(graph::PlanMemory(graph, options)) {}
-
-template <typename T>
-LayerArenaT<T>::LayerArenaT(graph::MemoryPlan plan) : plan_(std::move(plan)) {
-  workspace_.Reserve(plan_.peak_bytes());
-}
-
-template <typename T>
 graph::PlanOptions EncoderPlanOptions() {
   graph::PlanOptions options;
   options.default_elem_bytes = sizeof(T);
@@ -46,26 +36,6 @@ graph::PlanOptions EncoderPlanOptions() {
       {"layernorm 1 dX", "attn dropout dX"},
   };
   return options;
-}
-
-template <typename T>
-LayerArenaT<T> MakeEncoderArena(const EncoderConfig& config) {
-  const auto graph = graph::BuildEncoder(
-      config.dims, graph::AlgebraicFusion::kQKV, /*include_backward=*/true);
-  return LayerArenaT<T>(graph, EncoderPlanOptions<T>());
-}
-
-template <typename T>
-LayerArenaT<T> MakeMhaArena(const MhaConfig& config) {
-  graph::PlanOptions options;
-  options.default_elem_bytes = sizeof(T);
-  // The full forward+backward graph is modeled, so saved activations live
-  // exactly until the backward op that consumes them and the backward
-  // temporaries (d_gamma, d_beta, ...) share recycled bytes. Backward
-  // takes d_out by reference; it never lives in the arena.
-  options.exclude = {"d_out"};
-  const auto graph = graph::BuildMha(config.dims, /*include_backward=*/true);
-  return LayerArenaT<T>(graph, std::move(options));
 }
 
 template <typename T>
@@ -139,19 +109,13 @@ StackArenaT<T> MakeStackArena(const EncoderConfig& config,
         memory_budget_bytes));
   }
   auto graph = graph::BuildEncoderStack(config.dims, options);
-  auto plan_options = StackPlanOptions<T>(graph);
-  return StackArenaT<T>(std::move(graph), std::move(plan_options),
+  const auto plan_options = StackPlanOptions<T>(graph);
+  return StackArenaT<T>(std::move(graph), plan_options,
                         std::move(options.recompute_layers));
 }
 
-template class LayerArenaT<Half>;
-template class LayerArenaT<float>;
 template graph::PlanOptions EncoderPlanOptions<Half>();
 template graph::PlanOptions EncoderPlanOptions<float>();
-template LayerArenaT<Half> MakeEncoderArena<Half>(const EncoderConfig&);
-template LayerArenaT<float> MakeEncoderArena<float>(const EncoderConfig&);
-template LayerArenaT<Half> MakeMhaArena<Half>(const MhaConfig&);
-template LayerArenaT<float> MakeMhaArena<float>(const MhaConfig&);
 template graph::PlanOptions StackPlanOptions<Half>(const graph::DataflowGraph&);
 template graph::PlanOptions StackPlanOptions<float>(
     const graph::DataflowGraph&);

@@ -2,10 +2,13 @@
 // the CPU substrate, in both execution styles the paper compares --
 // per-operator kernels (the framework baseline) and our fused kernels.
 // Both produce bit-identical results; fusion changes data movement only.
+//
+// The hand-wired, owning Forward/Backward below are the reference oracle
+// for the whole-stack graph executor (transformer/stack.hpp), which is
+// the production path: every executor bitwise test compares against them.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,20 +17,10 @@
 #include "tensor/tensor.hpp"
 
 namespace xflow::graph {
-template <typename T>
-class GraphExecutorT;  // graph/executor.hpp
 bool TaskSchedulerDefault();  // graph/executor.hpp
 }  // namespace xflow::graph
 
 namespace xflow::transformer {
-
-template <typename T>
-class LayerArenaT;  // transformer/arena.hpp
-
-/// Default for EncoderConfig::use_graph_executor: the XFLOW_GRAPH_EXEC
-/// environment variable (1/true/on/yes, case-insensitive) when set,
-/// false otherwise. Read once per process.
-bool GraphExecutorDefault();
 
 /// One layer's four dropout-site Philox seeds, in dropout-op graph order
 /// (SM attention dropout, attention-output dropout, feed-forward, output).
@@ -45,17 +38,10 @@ struct EncoderConfig {
   /// decoder block (the paper notes decoders differ only in such minor
   /// aspects, Sec. VIII).
   bool causal = false;
-  /// Execute through the graph-level executor (graph/executor.hpp)
-  /// instead of the hand-wired kernel sequence whenever an arena is
-  /// bound: the planned dataflow graph itself is walked, with every
-  /// container resolved to its planned slab offset. Bitwise identical to
-  /// the hand-wired path. Without a bound arena the layer falls back to
-  /// hand-wired execution (the executor requires a plan to bind to).
-  bool use_graph_executor = GraphExecutorDefault();
-  /// Let the graph executor run dependency-free schedule steps
+  /// Let the whole-stack executor run dependency-free schedule steps
   /// concurrently on the work-stealing pool (graph/executor.hpp).
-  /// Bitwise identical to serial execution at every thread count; only
-  /// meaningful together with `use_graph_executor`.
+  /// Bitwise identical to serial execution at every thread count; the
+  /// hand-wired layer ignores it.
   bool use_task_scheduler = graph::TaskSchedulerDefault();
 };
 
@@ -101,25 +87,12 @@ struct EncoderActivationsT {
   Tensor<T> resid2;
   TensorF ln2_mean, ln2_rstd;
   Tensor<T> y;
-
-  /// When set, Forward acquires every activation *and* temporary from
-  /// this liveness-planned arena instead of heap-allocating (bind the
-  /// matching gradients struct to the same arena; one arena serves
-  /// exactly one layer instance). Values are bitwise identical to the
-  /// owning mode -- planning changes where bytes live, never what they
-  /// are.
-  LayerArenaT<T>* arena = nullptr;
 };
 
 template <typename T>
 struct EncoderGradientsT {
   EncoderParamsT<T> params;  // same shapes as the parameters
   Tensor<T> d_x;
-
-  /// Same contract as EncoderActivationsT::arena, for Backward. Weight
-  /// gradients stay owning (they outlive the step); only d_* temporaries
-  /// and d_x come from the plan.
-  LayerArenaT<T>* arena = nullptr;
 };
 
 /// The encoder layer. Forward/Backward follow the Table III operator
@@ -129,18 +102,15 @@ template <typename T>
 class EncoderLayerT {
  public:
   EncoderLayerT(EncoderConfig config, EncoderParamsT<T> params);
-  EncoderLayerT(EncoderLayerT&&) noexcept;
-  EncoderLayerT& operator=(EncoderLayerT&&) noexcept;
-  ~EncoderLayerT();
 
-  /// Runs forward propagation; fills `acts` and returns acts.y.
-  /// With `use_graph_executor` and a bound arena, the input `x` is bound
-  /// into the executor by reference and must stay valid (and unmoved)
-  /// until the matching Backward has run.
+  /// Reference oracle: hand-wired forward propagation over owning
+  /// tensors (reused via EnsureShape across calls); fills `acts` and
+  /// returns acts.y.
   const Tensor<T>& Forward(const Tensor<T>& x,
                            EncoderActivationsT<T>& acts) const;
 
-  /// Runs backpropagation from d_y; fills all parameter gradients and d_x.
+  /// Reference oracle: hand-wired backpropagation from d_y; fills all
+  /// parameter gradients and d_x.
   void Backward(const Tensor<T>& d_y, const EncoderActivationsT<T>& acts,
                 EncoderGradientsT<T>& grads) const;
 
@@ -149,25 +119,8 @@ class EncoderLayerT {
   [[nodiscard]] const EncoderParamsT<T>& params() const { return params_; }
 
  private:
-  /// The cached graph executor bound to `arena` (rebuilt when the bound
-  /// arena changes; reused allocation-free across steady-state steps).
-  graph::GraphExecutorT<T>& Executor(LayerArenaT<T>& arena) const;
-  void ExecutorForward(const Tensor<T>& x, EncoderActivationsT<T>& acts) const;
-  void ExecutorBackward(const Tensor<T>& d_y,
-                        const EncoderActivationsT<T>& acts,
-                        EncoderGradientsT<T>& grads) const;
-
   EncoderConfig config_;
   EncoderParamsT<T> params_;
-  // Lazily built on the first executor-backed call; mutable because the
-  // executor is a cache of the (const) layer + arena pair. The cache key
-  // is the arena address *and* its slab address: a new arena reusing a
-  // freed arena's address must not revive an executor whose views point
-  // into the old slab. (Like the rest of the layer API, concurrent calls
-  // on one layer instance are not supported.)
-  mutable std::unique_ptr<graph::GraphExecutorT<T>> executor_;
-  mutable const LayerArenaT<T>* executor_arena_ = nullptr;
-  mutable const void* executor_slab_ = nullptr;
 };
 
 using EncoderParams = EncoderParamsT<Half>;

@@ -6,14 +6,13 @@
 #include "ops/elementwise.hpp"
 #include "ops/softmax.hpp"
 #include "tensor/einsum.hpp"
-#include "transformer/arena.hpp"
 
 namespace xflow::transformer {
 
 namespace {
 
 /// Contractions parsed once per process; every call site writes into
-/// planned or reused storage via EinsumInto.
+/// reused storage via EinsumInto.
 struct MhaSpecs {
   EinsumSpec q = EinsumSpec::Parse("phi,ibj->phbj");
   EinsumSpec k = EinsumSpec::Parse("phi,ibk->phbk");
@@ -103,40 +102,34 @@ const Tensor<T>& MhaLayerT<T>::Forward(const Tensor<T>& q, const Tensor<T>& k,
   const Shape whbj("whbj", {d.p, d.h, d.b, d.j});
   const Shape ibj("ibj", {d.i, d.b, d.j});
 
-  LayerArenaT<T>* ar = acts.arena;
-  auto slot = [ar](Tensor<T>& t, const char* name,
-                   const Shape& shape) -> Tensor<T>& {
-    return BindSlot(ar, t, name, shape);
-  };
-  auto tmp = [ar](const char* name, const Shape& shape) -> Tensor<T> {
-    return AcquireTemp(ar, name, shape);
-  };
-
-  CopyValuesInto(q, slot(acts.q, "q", q.shape()));
-  CopyValuesInto(k, slot(acts.k, "k", k.shape()));
-  CopyValuesInto(v, slot(acts.v, "v", v.shape()));
+  acts.q.EnsureShape(q.shape());
+  CopyValuesInto(q, acts.q);
+  acts.k.EnsureShape(k.shape());
+  CopyValuesInto(k, acts.k);
+  acts.v.EnsureShape(v.shape());
+  CopyValuesInto(v, acts.v);
 
   // Input projections with bias (Fig. 1: three separate einsums; no
   // algebraic fusion since the inputs are distinct tensors).
-  Tensor<T> qq = tmp("qq", phbj);
-  Tensor<T> kk = tmp("kk", phbk);
-  Tensor<T> vv = tmp("vv", whbk);
+  Tensor<T> qq(phbj);
+  Tensor<T> kk(phbk);
+  Tensor<T> vv(whbk);
   EinsumInto(S().q, params_.wq, q, qq);
   EinsumInto(S().k, params_.wk, k, kk);
   EinsumInto(S().v, params_.wv, v, vv);
-  slot(acts.qq_b, "qq_b", phbj);
-  slot(acts.kk_b, "kk_b", phbk);
-  slot(acts.vv_b, "vv_b", whbk);
+  acts.qq_b.EnsureShape(phbj);
+  acts.kk_b.EnsureShape(phbk);
+  acts.vv_b.EnsureShape(whbk);
   ops::BiasForward(qq, params_.bq, acts.qq_b);
   ops::BiasForward(kk, params_.bk, acts.kk_b);
   ops::BiasForward(vv, params_.bv, acts.vv_b);
 
   // Attention scores, scaled softmax (+ optional causal mask) and dropout.
-  Tensor<T> beta = tmp("beta", hbjk);
+  Tensor<T> beta(hbjk);
   EinsumInto(S().qkt, acts.kk_b, acts.qq_b, beta);
-  slot(acts.alpha, "alpha", hbjk);
-  slot(acts.attn_mask, "attn_mask", hbjk);
-  slot(acts.softmax_saved, "softmax_saved", hbjk);
+  acts.alpha.EnsureShape(hbjk);
+  acts.attn_mask.EnsureShape(hbjk);
+  acts.softmax_saved.EnsureShape(hbjk);
   if (config_.causal) {
     ops::CausalScaledSoftmaxForward(beta, 'k', 'j', scale, sm_mask,
                                     acts.alpha, acts.attn_mask,
@@ -147,11 +140,11 @@ const Tensor<T>& MhaLayerT<T>::Forward(const Tensor<T>& q, const Tensor<T>& k,
   }
 
   // Weighted values and output projection.
-  slot(acts.gamma_t, "gamma", whbj);
+  acts.gamma_t.EnsureShape(whbj);
   EinsumInto(S().gamma, acts.vv_b, acts.alpha, acts.gamma_t);
-  Tensor<T> proj = tmp("attn_out", ibj);
+  Tensor<T> proj(ibj);
   EinsumInto(S().out, params_.wo, acts.gamma_t, proj);
-  slot(acts.out, "out", ibj);
+  acts.out.EnsureShape(ibj);
   ops::BiasForward(proj, params_.bo, acts.out);
   return acts.out;
 }
@@ -169,43 +162,36 @@ void MhaLayerT<T>::Backward(const Tensor<T>& d_out,
   auto& gp = grads.params;
   gp.EnsureShapes(d);  // accumulators; every entry is overwritten below
 
-  // Backward temporaries come from the bound arena (the backward graph is
-  // planned too) or from owning buffers; weight gradients stay owning.
-  LayerArenaT<T>* ar = grads.arena;
-  auto tmp = [ar](const char* name, const Shape& shape) -> Tensor<T> {
-    return AcquireTemp(ar, name, shape);
-  };
-
   // Output bias and projection.
   ops::BiasBackwardDW(d_out, gp.bo);
-  Tensor<T> d_gamma = tmp("d_gamma", Shape("whbj", {d.p, d.h, d.b, d.j}));
+  Tensor<T> d_gamma(Shape("whbj", {d.p, d.h, d.b, d.j}));
   EinsumInto(S().out_dx, params_.wo, d_out, d_gamma);
   EinsumInto(S().out_dw, d_out, acts.gamma_t, gp.wo);
 
   // gamma backward.
-  Tensor<T> d_alpha = tmp("d_alpha", hbjk);
+  Tensor<T> d_alpha(hbjk);
   EinsumInto(S().gamma_dx1, acts.vv_b, d_gamma, d_alpha);
-  Tensor<T> d_vv = tmp("d_vv", Shape("whbk", {d.p, d.h, d.b, d.k}));
+  Tensor<T> d_vv(Shape("whbk", {d.p, d.h, d.b, d.k}));
   EinsumInto(S().gamma_dx2, d_gamma, acts.alpha, d_vv);
 
   // BS: dropout + softmax + scale.
-  Tensor<T> d_beta = tmp("d_beta", hbjk);
+  Tensor<T> d_beta(hbjk);
   ops::ScaledSoftmaxBackwardDX(d_alpha, acts.attn_mask, acts.softmax_saved,
                                'k', scale, keep_scale, d_beta);
 
   // QKT backward.
-  Tensor<T> d_kk = tmp("d_kk", Shape("phbk", {d.p, d.h, d.b, d.k}));
+  Tensor<T> d_kk(Shape("phbk", {d.p, d.h, d.b, d.k}));
   EinsumInto(S().qkt_dx1, acts.qq_b, d_beta, d_kk);
-  Tensor<T> d_qq = tmp("d_qq", Shape("phbj", {d.p, d.h, d.b, d.j}));
+  Tensor<T> d_qq(Shape("phbj", {d.p, d.h, d.b, d.j}));
   EinsumInto(S().qkt_dx2, d_beta, acts.kk_b, d_qq);
 
   // Projection biases, weights, and input gradients.
   ops::BiasBackwardDW(d_qq, gp.bq);
   ops::BiasBackwardDW(d_kk, gp.bk);
   ops::BiasBackwardDW(d_vv, gp.bv);
-  BindSlot(ar, grads.d_q, "d_q", Shape("ibj", {d.i, d.b, d.j}));
-  BindSlot(ar, grads.d_k, "d_k", ibk);
-  BindSlot(ar, grads.d_v, "d_v", ibk);
+  grads.d_q.EnsureShape(Shape("ibj", {d.i, d.b, d.j}));
+  grads.d_k.EnsureShape(ibk);
+  grads.d_v.EnsureShape(ibk);
   EinsumInto(S().q_dx, params_.wq, d_qq, grads.d_q);
   EinsumInto(S().k_dx, params_.wk, d_kk, grads.d_k);
   EinsumInto(S().v_dx, params_.wv, d_vv, grads.d_v);

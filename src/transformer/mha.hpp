@@ -19,9 +19,6 @@
 
 namespace xflow::transformer {
 
-template <typename T>
-class LayerArenaT;  // transformer/arena.hpp
-
 struct MhaConfig {
   graph::ModelDims dims = graph::ModelDims::Tiny();
   float dropout_prob = 0.0f;
@@ -54,23 +51,12 @@ struct MhaActivationsT {
   Tensor<T> alpha, attn_mask, softmax_saved;
   Tensor<T> gamma_t;
   Tensor<T> out;  // final output [i, b, j]
-
-  /// When set, Forward acquires every activation and temporary from this
-  /// liveness-planned arena (MakeMhaArena) instead of heap-allocating;
-  /// values are bitwise identical to the owning mode.
-  LayerArenaT<T>* arena = nullptr;
 };
 
 template <typename T>
 struct MhaGradientsT {
   MhaParamsT<T> params;
   Tensor<T> d_q, d_k, d_v;
-
-  /// When set, Backward acquires every d_* temporary and the input
-  /// gradients from this arena (the same MakeMhaArena instance bound to
-  /// the activations); weight gradients stay owning. Values are bitwise
-  /// identical to the owning mode.
-  LayerArenaT<T>* arena = nullptr;
 };
 
 template <typename T>

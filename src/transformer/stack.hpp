@@ -1,10 +1,10 @@
 // A stack of encoder (or causal decoder) layers with a single
 // forward/backward interface -- "our implementation can also be extended
 // to support a full training pipeline by stacking our optimized layers"
-// (Sec. VI-C) -- plus the stack-level memory planning that makes a
-// steady-state training step allocation-free: one liveness-planned arena
-// per layer (layers share one plan, but each needs its own slab because
-// its saved activations must survive until its backward runs).
+// (Sec. VI-C). Two ways to run it: the whole-stack graph executor over
+// one liveness-planned slab (the production path, allocation-free in
+// steady state), and the hand-wired per-layer reference oracle it is
+// tested against bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -16,28 +16,12 @@
 #include "transformer/arena.hpp"
 #include "transformer/encoder.hpp"
 
-namespace xflow::transformer {
-
-/// Planned arenas for every layer of one stack instance.
+namespace xflow::graph {
 template <typename T>
-class EncoderStackWorkspaceT {
- public:
-  EncoderStackWorkspaceT(const EncoderConfig& config, int num_layers);
+class GraphExecutorT;  // graph/executor.hpp
+}  // namespace xflow::graph
 
-  [[nodiscard]] int num_layers() const {
-    return static_cast<int>(arenas_.size());
-  }
-  [[nodiscard]] LayerArenaT<T>& layer(int index) {
-    return arenas_[static_cast<std::size_t>(index)];
-  }
-  /// Total slab bytes across layers (what the plan reserves).
-  [[nodiscard]] std::size_t planned_bytes() const;
-  /// What per-tensor owning allocation would cost across layers.
-  [[nodiscard]] std::size_t naive_bytes() const;
-
- private:
-  std::vector<LayerArenaT<T>> arenas_;
-};
+namespace xflow::transformer {
 
 template <typename T>
 class EncoderStackT {
@@ -55,24 +39,15 @@ class EncoderStackT {
     return layers_[static_cast<std::size_t>(index)];
   }
 
-  /// Sizes `acts`/`grads` for this stack and binds each layer's entry to
-  /// the matching arena of `workspace`. After one warmup step, every
-  /// subsequent Forward/Backward performs zero tensor allocations (the
-  /// planner's steady-state contract, enforced by test).
-  void BindWorkspace(EncoderStackWorkspaceT<T>& workspace,
-                     std::vector<EncoderActivationsT<T>>& acts,
-                     std::vector<EncoderGradientsT<T>>& grads) const;
-
-  /// Runs every layer; `acts` gets one entry per layer (entries -- and
-  /// their arena bindings -- are reused when already sized). Returns the
-  /// final output (acts.back().y).
+  /// Reference oracle: runs every layer's hand-wired Forward; `acts`
+  /// gets one entry per layer (owning buffers are reused when already
+  /// sized). Returns the final output (acts.back().y).
   const Tensor<T>& Forward(const Tensor<T>& x,
                            std::vector<EncoderActivationsT<T>>& acts) const;
 
-  /// Backpropagates through the whole stack; fills one gradient set per
-  /// layer and returns a reference to layer 0's d_x (grads.front().d_x --
-  /// with a bound workspace that tensor is an arena view, overwritten by
-  /// the next step; deep-copy it to keep it longer).
+  /// Reference oracle: backpropagates through every layer's hand-wired
+  /// Backward; fills one gradient set per layer and returns layer 0's
+  /// d_x (grads.front().d_x).
   const Tensor<T>& Backward(const Tensor<T>& d_y,
                             const std::vector<EncoderActivationsT<T>>& acts,
                             std::vector<EncoderGradientsT<T>>& grads) const;
@@ -85,9 +60,9 @@ class EncoderStackT {
   //
   // Built on a StackArenaT (MakeStackArena): embedding -> N layers -> loss
   // live in ONE planned graph, so cross-layer transients share bytes and
-  // PR 7's concurrent dispatch overlaps steps *across* layers. Bitwise
-  // identical to the per-layer path above at every thread count, fused and
-  // unfused, checkpointed or not.
+  // the concurrent dispatch overlaps steps *across* layers. Bitwise
+  // identical to the reference path above at every thread count, fused
+  // and unfused, checkpointed or not.
 
   /// The cached whole-stack executor bound to `arena` (rebuilt when the
   /// arena or its slab changes). Every layer's weights are pre-bound as
@@ -110,8 +85,10 @@ class EncoderStackT {
 
  private:
   std::vector<EncoderLayerT<T>> layers_;
-  // Whole-stack executor cache; same key discipline as EncoderLayerT's
-  // per-layer cache (arena address and slab address).
+  // Whole-stack executor cache, keyed by the arena address *and* its slab
+  // address: a new arena reusing a freed arena's address must not revive
+  // an executor whose views point into the old slab. (Concurrent calls on
+  // one stack instance are not supported.)
   mutable std::unique_ptr<graph::GraphExecutorT<T>> stack_executor_;
   mutable const StackArenaT<T>* stack_arena_ = nullptr;
   mutable const void* stack_slab_ = nullptr;
@@ -120,10 +97,7 @@ class EncoderStackT {
 };
 
 using EncoderStack = EncoderStackT<Half>;
-using EncoderStackWorkspace = EncoderStackWorkspaceT<Half>;
 extern template class EncoderStackT<Half>;
 extern template class EncoderStackT<float>;
-extern template class EncoderStackWorkspaceT<Half>;
-extern template class EncoderStackWorkspaceT<float>;
 
 }  // namespace xflow::transformer

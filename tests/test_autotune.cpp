@@ -1,16 +1,18 @@
 // The online contraction autotuner: a (class, shape bucket) is tuned at
 // most once per process, warm lookups never re-measure (the memstats
-// counters are the contract the serving plans of ROADMAP item 2 build
-// on), the sim mode never touches the host timers, and tuning never
+// counters are the contract the serving plans build on), a nested call
+// from inside a measurement returns instead of blocking, and tuning never
 // changes a result byte -- every candidate is numerics-free.
 #include "config/autotune.hpp"
 
 #include <gtest/gtest.h>
 
-#include "sim/kernel_model.hpp"
+#include <vector>
+
+#include "graph/executor.hpp"
 #include "tensor/memstats.hpp"
 #include "transformer/arena.hpp"
-#include "transformer/encoder.hpp"
+#include "transformer/stack.hpp"
 
 namespace xflow {
 namespace {
@@ -28,8 +30,7 @@ TEST(AutotuneMode, ParsesTheEnvKnob) {
   EXPECT_EQ(ParseAutotuneMode(""), AutotuneMode::kMeasure);
   EXPECT_EQ(ParseAutotuneMode("measure"), AutotuneMode::kMeasure);
   EXPECT_EQ(ParseAutotuneMode("on"), AutotuneMode::kMeasure);
-  EXPECT_EQ(ParseAutotuneMode("sim"), AutotuneMode::kSim);
-  EXPECT_EQ(ParseAutotuneMode("SIM"), AutotuneMode::kSim);
+  EXPECT_EQ(ParseAutotuneMode("sim"), AutotuneMode::kMeasure);
   EXPECT_EQ(ParseAutotuneMode("off"), AutotuneMode::kOff);
   EXPECT_EQ(ParseAutotuneMode("OFF"), AutotuneMode::kOff);
   EXPECT_EQ(ParseAutotuneMode("0"), AutotuneMode::kOff);
@@ -102,22 +103,57 @@ TEST(Autotune, ColdTunesOnceThenEveryLookupIsWarm) {
   EXPECT_EQ(warm.exec.batch_parallel, cold.exec.batch_parallel);
 }
 
-TEST(Autotune, SimModeNeverTouchesTheTimers) {
+TEST(Autotune, NestedCallsReturnAndMeasureEachBucketOnce) {
+  // While a contraction is measured, the thread pool's waiters may run
+  // another graph step, which calls Autotune again on the same thread.
+  // That call must return without blocking: for another bucket it tunes
+  // that bucket, for the bucket being measured it gets the heuristic
+  // (uncached). Either way every bucket is measured exactly once.
   ResetAutotuneCacheForTesting();
-  const auto bucket = BucketOf(EinsumClass::kBatchedGemm,
-                               {.m = 48, .n = 48, .k = 48, .batch = 6}, 2);
-  int calls = 0;
-  const config::MeasureFn fn = [&](const EinsumExecConfig&) {
-    ++calls;
+  const auto outer = BucketOf(EinsumClass::kBatchedGemm,
+                              {.m = 40, .n = 40, .k = 40, .batch = 3}, 2);
+  const auto inner = BucketOf(EinsumClass::kGemv,
+                              {.m = 200, .n = 1, .k = 50, .batch = 1}, 2);
+  int inner_calls = 0;
+  const config::MeasureFn inner_fn = [&](const EinsumExecConfig&) {
+    ++inner_calls;
     return 1.0;
   };
-  const auto entry = Autotune(bucket, fn, AutotuneMode::kSim);
-  EXPECT_EQ(calls, 0);
-  EXPECT_FALSE(entry.measured);
-  // The roofline ranking still ran: a concrete algorithm was picked.
-  EXPECT_GE(entry.algorithm, 0);
-  EXPECT_LT(entry.algorithm, sim::kNumGemmAlgorithms);
-  EXPECT_GT(entry.sim_us, 0.0);
+  std::vector<config::TunedEntry> nested_outer;
+  const config::MeasureFn outer_fn = [&](const EinsumExecConfig& cand) {
+    Autotune(inner, inner_fn, AutotuneMode::kMeasure);
+    nested_outer.push_back(Autotune(outer, inner_fn, AutotuneMode::kMeasure));
+    return cand.batch_parallel == 0 ? 0.5 : 1.0;  // deterministic "winner"
+  };
+
+  const auto before = memstats::Read();
+  const auto entry = Autotune(outer, outer_fn, AutotuneMode::kMeasure);
+  const auto after = memstats::Read();
+  EXPECT_EQ(after.autotune_measures, before.autotune_measures + 2)
+      << "each of the two buckets must be measured exactly once";
+  EXPECT_TRUE(entry.measured);
+  EXPECT_EQ(entry.exec.batch_parallel, 0);
+  // The inner bucket was tuned by the first nested call (best of two per
+  // candidate) and hit the cache afterwards.
+  EXPECT_EQ(inner_calls,
+            2 * static_cast<int>(ExecCandidates(inner).size()));
+  // Nested calls for the bucket in flight got the heuristic, unmeasured.
+  ASSERT_FALSE(nested_outer.empty());
+  const auto heuristic = ExecCandidates(outer).front();
+  for (const auto& nested : nested_outer) {
+    EXPECT_FALSE(nested.measured);
+    EXPECT_EQ(nested.exec.batch_parallel, heuristic.batch_parallel);
+    EXPECT_EQ(nested.exec.row_grain, heuristic.row_grain);
+  }
+
+  // Both buckets are cached now: later calls are warm hits.
+  const auto warm_before = memstats::Read();
+  const auto warm = Autotune(outer, outer_fn, AutotuneMode::kMeasure);
+  Autotune(inner, inner_fn, AutotuneMode::kMeasure);
+  const auto warm_after = memstats::Read();
+  EXPECT_EQ(warm_after.autotune_measures, warm_before.autotune_measures);
+  EXPECT_EQ(warm_after.autotune_hits, warm_before.autotune_hits + 2);
+  EXPECT_EQ(warm.exec.batch_parallel, 0);
 }
 
 TEST(Autotune, OffModeBypassesTheCacheEntirely) {
@@ -145,18 +181,14 @@ TEST(Autotune, WarmExecutorStepHitsTheConfigCache) {
   cfg.dropout_prob = 0.1f;
   cfg.seed = 7;
   cfg.use_fused_kernels = true;
-  cfg.use_graph_executor = true;
-  auto params = EncoderParamsT<Half>::Init(cfg.dims, 11);
-  EncoderLayerT<Half> layer(cfg, params);
-  auto arena = MakeEncoderArena<Half>(cfg);
+  EncoderStackT<Half> stack(cfg, 1, 11);
+  auto arena = MakeStackArena<Half>(cfg, {.num_layers = 1});
   auto x = TensorH::Random(Shape("ibj", {cfg.dims.i, cfg.dims.b, cfg.dims.j}),
                            13);
-  EncoderActivationsT<Half> acts;
-  acts.arena = &arena;
 
-  layer.Forward(x, acts);  // cold: fills the per-bucket entries
+  stack.Forward(x, arena);  // cold: fills the per-bucket entries
   const auto before = memstats::Read();
-  layer.Forward(x, acts);
+  const TensorH& y = stack.Forward(x, arena);
   const auto after = memstats::Read();
   EXPECT_EQ(after.autotune_measures, before.autotune_measures)
       << "a warm executor step re-tuned a contraction bucket";
@@ -164,17 +196,15 @@ TEST(Autotune, WarmExecutorStepHitsTheConfigCache) {
       << "the warm step did not consult the config cache";
 
   // A *new* executor over the same shapes is warm from the start -- the
-  // process-wide cache is what item 2's plan cache will lean on.
-  EncoderLayerT<Half> second(cfg, params);
-  auto arena2 = MakeEncoderArena<Half>(cfg);
-  EncoderActivationsT<Half> acts2;
-  acts2.arena = &arena2;
+  // cache is process-wide.
+  EncoderStackT<Half> second(cfg, 1, 11);
+  auto arena2 = MakeStackArena<Half>(cfg, {.num_layers = 1});
   const auto fresh_before = memstats::Read();
-  second.Forward(x, acts2);
+  const TensorH& y2 = second.Forward(x, arena2);
   const auto fresh_after = memstats::Read();
   EXPECT_EQ(fresh_after.autotune_measures, fresh_before.autotune_measures)
       << "a second executor over tuned shapes re-measured";
-  EXPECT_EQ(MaxAbsDiff(acts.y, acts2.y), 0.0);
+  EXPECT_EQ(MaxAbsDiff(y, y2), 0.0);
 }
 
 }  // namespace

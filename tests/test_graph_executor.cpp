@@ -1,9 +1,9 @@
-// The graph-level executor must be an exact stand-in for the hand-wired
-// layer: walking the planned dataflow graph op by op (or fused kernel by
-// fused kernel) over arena views produces bitwise-identical activations
-// and gradients at every thread count, in both kernel styles, and a
-// steady-state executor step performs zero tensor/workspace allocations
-// and zero einsum offset-table rebuilds.
+// The graph-level executor's construction contracts over a single-layer
+// plan: its fused schedule agrees with the planner's fused spans, the
+// schedule and forward/backward boundary are what the graph implies, and
+// unbound externals fail loudly. Its bitwise contracts against the
+// hand-wired reference live in test_whole_stack and
+// test_planned_execution.
 #include "graph/executor.hpp"
 
 #include <gtest/gtest.h>
@@ -11,342 +11,16 @@
 #include <string>
 #include <vector>
 
-#include "common/strings.hpp"
-#include "common/threadpool.hpp"
 #include "fusion/fuser.hpp"
 #include "graph/builder.hpp"
-#include "tensor/memstats.hpp"
+#include "graph/memory_plan.hpp"
+#include "tensor/workspace.hpp"
 #include "transformer/arena.hpp"
-#include "transformer/stack.hpp"
-#include "transformer/training.hpp"
 
 namespace xflow::transformer {
 namespace {
 
 using graph::ModelDims;
-
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int threads) { ThreadPool::SetGlobalThreads(threads); }
-  ~ThreadGuard() {
-    ThreadPool::SetGlobalThreads(ThreadPool::ResolveGlobalThreads());
-  }
-};
-
-bool UnderSanitizer() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
-
-EncoderConfig Config(const ModelDims& dims, bool fused, bool executor) {
-  EncoderConfig cfg;
-  cfg.dims = dims;
-  cfg.dropout_prob = 0.1f;
-  cfg.seed = 7;
-  cfg.use_fused_kernels = fused;
-  cfg.use_graph_executor = executor;
-  return cfg;
-}
-
-Shape Ibj(const ModelDims& d) { return Shape("ibj", {d.i, d.b, d.j}); }
-
-/// Runs one forward+backward under each config (same dims, same seeds)
-/// and asserts every saved activation and every gradient is bitwise
-/// identical between the two runs.
-void ExpectLayersMatchBitwise(const EncoderConfig& hand_cfg,
-                              const EncoderConfig& exec_cfg) {
-  const auto& dims = hand_cfg.dims;
-  auto params = EncoderParamsT<Half>::Init(dims, 11);
-  EncoderLayerT<Half> hand(hand_cfg, params);
-  EncoderLayerT<Half> exec(exec_cfg, params);
-  auto hand_arena = MakeEncoderArena<Half>(hand_cfg);
-  auto exec_arena = MakeEncoderArena<Half>(exec_cfg);
-  auto x = TensorH::Random(Ibj(dims), 13);
-
-  EncoderActivationsT<Half> hand_acts, exec_acts;
-  hand_acts.arena = &hand_arena;
-  exec_acts.arena = &exec_arena;
-  hand.Forward(x, hand_acts);
-  exec.Forward(x, exec_acts);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.y, exec_acts.y), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.qq_b, exec_acts.qq_b), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.kk_b, exec_acts.kk_b), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.vv_b, exec_acts.vv_b), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.alpha, exec_acts.alpha), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.attn_mask, exec_acts.attn_mask), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.softmax_saved, exec_acts.softmax_saved),
-            0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.gamma_t, exec_acts.gamma_t), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.attn_drop_mask, exec_acts.attn_drop_mask),
-            0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.resid1, exec_acts.resid1), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.ln1_mean, exec_acts.ln1_mean), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.ln1_rstd, exec_acts.ln1_rstd), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.ln1_out, exec_acts.ln1_out), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.relu1, exec_acts.relu1), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.ff_dropped, exec_acts.ff_dropped), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.ff_drop_mask, exec_acts.ff_drop_mask), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.lin2_drop_mask, exec_acts.lin2_drop_mask),
-            0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.resid2, exec_acts.resid2), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.ln2_mean, exec_acts.ln2_mean), 0.0);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.ln2_rstd, exec_acts.ln2_rstd), 0.0);
-
-  auto d_y = TensorH::Random(Ibj(dims), 17);
-  EncoderGradientsT<Half> hand_grads, exec_grads;
-  hand_grads.arena = &hand_arena;
-  exec_grads.arena = &exec_arena;
-  hand.Backward(d_y, hand_acts, hand_grads);
-  exec.Backward(d_y, exec_acts, exec_grads);
-  EXPECT_EQ(MaxAbsDiff(hand_grads.d_x, exec_grads.d_x), 0.0);
-  auto hand_named = hand_grads.params.Named();
-  auto exec_named = exec_grads.params.Named();
-  for (std::size_t p = 0; p < hand_named.size(); ++p) {
-    EXPECT_EQ(MaxAbsDiff(*hand_named[p].second, *exec_named[p].second), 0.0)
-        << hand_named[p].first;
-  }
-}
-
-/// Hand-wired arena path vs executor path (task scheduler at its
-/// default), bitwise.
-void ExpectExecutorMatchesHandWired(const ModelDims& dims, bool fused,
-                                    bool causal = false) {
-  auto hand_cfg = Config(dims, fused, /*executor=*/false);
-  auto exec_cfg = Config(dims, fused, /*executor=*/true);
-  hand_cfg.causal = exec_cfg.causal = causal;
-  ExpectLayersMatchBitwise(hand_cfg, exec_cfg);
-}
-
-/// Executor with the serial step loop vs executor with the concurrent
-/// task scheduler, bitwise -- the scheduler may only change which thread
-/// runs a step, never any result byte.
-void ExpectTaskSchedulerMatchesSerial(const ModelDims& dims, bool fused) {
-  auto serial_cfg = Config(dims, fused, /*executor=*/true);
-  auto sched_cfg = Config(dims, fused, /*executor=*/true);
-  serial_cfg.use_task_scheduler = false;
-  sched_cfg.use_task_scheduler = true;
-  ExpectLayersMatchBitwise(serial_cfg, sched_cfg);
-}
-
-TEST(GraphExecutor, BitwiseMatchesHandWiredTiny) {
-  for (int threads : {1, 2, 8}) {
-    ThreadGuard guard(threads);
-    for (bool fused : {true, false}) {
-      SCOPED_TRACE(StrFormat("threads=%d fused=%d", threads, int(fused)));
-      ExpectExecutorMatchesHandWired(ModelDims::Tiny(), fused);
-    }
-  }
-}
-
-TEST(GraphExecutor, BitwiseMatchesHandWiredTinyCausal) {
-  ExpectExecutorMatchesHandWired(ModelDims::Tiny(), /*fused=*/true,
-                                 /*causal=*/true);
-}
-
-TEST(GraphExecutor, BitwiseMatchesHandWiredBertBase) {
-  // Full-size dims; the 1/8-thread CTest re-runs of this suite provide
-  // the thread-count coverage. Skipped under sanitizers, where the
-  // BERT-base contractions alone would dominate the job's budget (the
-  // Tiny matrix above exercises every dispatch path there).
-  if (UnderSanitizer()) {
-    GTEST_SKIP() << "BERT-base bitwise suite is too slow under ASan/UBSan";
-  }
-  for (bool fused : {true, false}) {
-    SCOPED_TRACE(StrFormat("fused=%d", int(fused)));
-    ExpectExecutorMatchesHandWired(ModelDims::BertBase(), fused);
-  }
-}
-
-TEST(GraphExecutor, TaskSchedulerBitwiseMatchesSerialTiny) {
-  for (int threads : {1, 2, 8}) {
-    ThreadGuard guard(threads);
-    for (bool fused : {true, false}) {
-      SCOPED_TRACE(StrFormat("threads=%d fused=%d", threads, int(fused)));
-      ExpectTaskSchedulerMatchesSerial(ModelDims::Tiny(), fused);
-    }
-  }
-}
-
-TEST(GraphExecutor, TaskSchedulerBitwiseMatchesSerialBertBase) {
-  // Full-size dims, pool forced wide so the ready list genuinely runs
-  // branches concurrently (the unfused schedule has the deepest DAG).
-  if (UnderSanitizer()) {
-    GTEST_SKIP() << "BERT-base bitwise suite is too slow under ASan/UBSan";
-  }
-  ThreadGuard guard(8);
-  for (bool fused : {true, false}) {
-    SCOPED_TRACE(StrFormat("fused=%d", int(fused)));
-    ExpectTaskSchedulerMatchesSerial(ModelDims::BertBase(), fused);
-  }
-}
-
-TEST(GraphExecutor, TaskSchedulerTrainsIdenticallyToSerial) {
-  // Whole-loop equivalence under concurrency: a 4-step Adam trajectory
-  // through the task-scheduled executor matches the serial-schedule
-  // executor bit for bit (any schedule-dependent result byte would
-  // compound across steps and show up here).
-  ThreadGuard guard(8);
-  constexpr int kLayers = 2;
-  const auto dims = ModelDims::Tiny();
-  auto run = [&](bool task_sched) {
-    auto cfg = Config(dims, /*fused=*/true, /*executor=*/true);
-    cfg.use_task_scheduler = task_sched;
-    EncoderStackT<Half> stack(cfg, kLayers, 3);
-    EncoderStackWorkspaceT<Half> workspace(cfg, kLayers);
-    std::vector<EncoderActivationsT<Half>> acts;
-    std::vector<EncoderGradientsT<Half>> grads;
-    stack.BindWorkspace(workspace, acts, grads);
-    auto x = TensorH::Random(Ibj(dims), 5);
-    auto target = TensorH::Random(Ibj(dims), 6);
-    TensorH d_y(Ibj(dims));
-    MixedPrecisionAdam opt({.lr = 2e-3f});
-    std::vector<std::vector<TensorF>> masters(kLayers);
-    for (int l = 0; l < kLayers; ++l) {
-      for (auto& [name, t] : stack.layer(l).params().Named()) {
-        masters[static_cast<std::size_t>(l)].push_back(t->Cast<float>());
-      }
-    }
-    for (int s = 0; s < 4; ++s) {
-      const auto& y = stack.Forward(x, acts);
-      MseLoss(y, target, d_y);
-      stack.Backward(d_y, acts, grads);
-      for (int l = 0; l < kLayers; ++l) {
-        const auto lu = static_cast<std::size_t>(l);
-        auto named_params = stack.layer(l).params().Named();
-        auto named_grads = grads[lu].params.Named();
-        for (std::size_t p = 0; p < named_params.size(); ++p) {
-          opt.Step(StrFormat("l%d.%s", l, named_params[p].first.c_str()),
-                   masters[lu][p], *named_params[p].second,
-                   *named_grads[p].second);
-        }
-      }
-    }
-    const auto& y = stack.Forward(x, acts);
-    TensorH out(y.shape());
-    CopyValuesInto(y, out);
-    return out;
-  };
-  auto serial = run(false);
-  auto sched = run(true);
-  EXPECT_EQ(MaxAbsDiff(serial, sched), 0.0);
-}
-
-TEST(GraphExecutor, StackTrainsIdenticallyToHandWired) {
-  // Whole-loop equivalence including the optimizer trajectory: N executor
-  // train steps == N hand-wired train steps, bit for bit.
-  constexpr int kLayers = 2;
-  const auto dims = ModelDims::Tiny();
-  auto run = [&](bool executor) {
-    const auto cfg = Config(dims, /*fused=*/true, executor);
-    EncoderStackT<Half> stack(cfg, kLayers, 3);
-    EncoderStackWorkspaceT<Half> workspace(cfg, kLayers);
-    std::vector<EncoderActivationsT<Half>> acts;
-    std::vector<EncoderGradientsT<Half>> grads;
-    stack.BindWorkspace(workspace, acts, grads);
-    auto x = TensorH::Random(Ibj(dims), 5);
-    auto target = TensorH::Random(Ibj(dims), 6);
-    TensorH d_y(Ibj(dims));
-    MixedPrecisionAdam opt({.lr = 2e-3f});
-    std::vector<std::vector<TensorF>> masters(kLayers);
-    for (int l = 0; l < kLayers; ++l) {
-      for (auto& [name, t] : stack.layer(l).params().Named()) {
-        masters[static_cast<std::size_t>(l)].push_back(t->Cast<float>());
-      }
-    }
-    for (int s = 0; s < 4; ++s) {
-      const auto& y = stack.Forward(x, acts);
-      MseLoss(y, target, d_y);
-      stack.Backward(d_y, acts, grads);
-      for (int l = 0; l < kLayers; ++l) {
-        const auto lu = static_cast<std::size_t>(l);
-        auto named_params = stack.layer(l).params().Named();
-        auto named_grads = grads[lu].params.Named();
-        for (std::size_t p = 0; p < named_params.size(); ++p) {
-          opt.Step(StrFormat("l%d.%s", l, named_params[p].first.c_str()),
-                   masters[lu][p], *named_params[p].second,
-                   *named_grads[p].second);
-        }
-      }
-    }
-    const auto& y = stack.Forward(x, acts);
-    TensorH out(y.shape());
-    CopyValuesInto(y, out);
-    return out;
-  };
-  auto hand = run(false);
-  auto exec = run(true);
-  EXPECT_EQ(MaxAbsDiff(hand, exec), 0.0);
-}
-
-TEST(GraphExecutor, SteadyStateExecutorStepIsAllocationFree) {
-  // The executor's steady-state contract: after warmup, a full train step
-  // through the graph executor performs zero tensor-buffer and zero
-  // workspace allocations AND zero einsum offset-table rebuilds (the
-  // per-(spec, shapes) table cache is warm).
-  const auto dims = ModelDims::Tiny();
-  const auto cfg = Config(dims, /*fused=*/true, /*executor=*/true);
-  constexpr int kLayers = 2;
-  EncoderStackT<Half> stack(cfg, kLayers, 3);
-  EncoderStackWorkspaceT<Half> workspace(cfg, kLayers);
-  std::vector<EncoderActivationsT<Half>> acts;
-  std::vector<EncoderGradientsT<Half>> grads;
-  stack.BindWorkspace(workspace, acts, grads);
-
-  auto x = TensorH::Random(Ibj(dims), 5);
-  auto target = TensorH::Random(Ibj(dims), 6);
-  TensorH d_y(Ibj(dims));
-  MixedPrecisionAdam opt({.lr = 1e-3f});
-  std::vector<std::vector<TensorF>> masters(kLayers);
-  for (int l = 0; l < kLayers; ++l) {
-    for (auto& [name, t] : stack.layer(l).params().Named()) {
-      masters[static_cast<std::size_t>(l)].push_back(t->Cast<float>());
-    }
-  }
-
-  double loss = 0;
-  auto step = [&] {
-    const auto& y = stack.Forward(x, acts);
-    loss = MseLoss(y, target, d_y);
-    stack.Backward(d_y, acts, grads);
-    for (int l = 0; l < kLayers; ++l) {
-      const auto lu = static_cast<std::size_t>(l);
-      auto named_params = stack.layer(l).params().Named();
-      auto named_grads = grads[lu].params.Named();
-      for (std::size_t p = 0; p < named_params.size(); ++p) {
-        opt.Step(StrFormat("l%d.%s", l, named_params[p].first.c_str()),
-                 masters[lu][p], *named_params[p].second,
-                 *named_grads[p].second);
-      }
-    }
-  };
-
-  step();  // warmup: executors, accumulators, optimizer state, tables
-  step();
-  const double warm_loss = loss;
-  const auto before = memstats::Read();
-  step();
-  const auto after = memstats::Read();
-  EXPECT_EQ(after.tensor_allocs, before.tensor_allocs)
-      << "steady-state executor step allocated "
-      << after.tensor_bytes - before.tensor_bytes << " tensor bytes";
-  EXPECT_EQ(after.workspace_allocs, before.workspace_allocs);
-  EXPECT_EQ(after.einsum_table_builds, before.einsum_table_builds)
-      << "steady-state executor step rebuilt einsum offset tables";
-  EXPECT_EQ(after.einsum_class_builds, before.einsum_class_builds)
-      << "steady-state executor step reclassified einsum contractions";
-  EXPECT_EQ(after.autotune_measures, before.autotune_measures)
-      << "steady-state executor step re-tuned a contraction bucket";
-  EXPECT_LT(loss, warm_loss);  // and it still trains
-}
 
 TEST(GraphExecutor, FuserGroupsMatchPlannedFusedSpans) {
   // The executor takes its fused schedule from fusion::FuseMaximally and
@@ -373,18 +47,17 @@ TEST(GraphExecutor, ScheduleAndBoundary) {
   const auto dims = ModelDims::Tiny();
   const auto g =
       graph::BuildEncoder(dims, graph::AlgebraicFusion::kQKV, true);
-  auto arena = MakeEncoderArena<Half>(Config(dims, true, true));
+  const auto plan = graph::PlanMemory(g, EncoderPlanOptions<Half>());
+  Workspace workspace(plan.peak_bytes());
   graph::ExecutorOptions opts;
   opts.dropout_prob = 0.1f;
   opts.dropout_seeds = {1, 2, 3, 4};
   opts.stacked = EncoderPlanOptions<Half>().groups;
 
   opts.use_fused_kernels = true;
-  graph::GraphExecutorT<Half> fused_exec(g, &arena.plan(), &arena.workspace(),
-                                         opts);
+  graph::GraphExecutorT<Half> fused_exec(g, &plan, &workspace, opts);
   opts.use_fused_kernels = false;
-  graph::GraphExecutorT<Half> unfused_exec(g, &arena.plan(),
-                                           &arena.workspace(), opts);
+  graph::GraphExecutorT<Half> unfused_exec(g, &plan, &workspace, opts);
   // The backward boundary is the first backward-kind op ("layernorm 2
   // dW"), identical in both schedules.
   int expected = -1;
@@ -399,50 +72,19 @@ TEST(GraphExecutor, ScheduleAndBoundary) {
   EXPECT_LT(fused_exec.num_steps(), unfused_exec.num_steps());
 }
 
-TEST(GraphExecutor, ExecutorForwardThenHandWiredBackward) {
-  // Half-bound combination: acts on an arena (executor Forward), grads
-  // owning (hand-wired Backward). The executor must leave acts complete
-  // -- including the saved input x -- so the hand-wired backward works
-  // and matches the fully hand-wired run bitwise.
-  const auto dims = ModelDims::Tiny();
-  auto params = EncoderParamsT<Half>::Init(dims, 11);
-  EncoderLayerT<Half> hand(Config(dims, true, false), params);
-  EncoderLayerT<Half> exec(Config(dims, true, true), params);
-  auto exec_arena = MakeEncoderArena<Half>(Config(dims, true, true));
-  auto x = TensorH::Random(Ibj(dims), 13);
-  auto d_y = TensorH::Random(Ibj(dims), 17);
-
-  EncoderActivationsT<Half> hand_acts, exec_acts;
-  exec_acts.arena = &exec_arena;
-  hand.Forward(x, hand_acts);
-  exec.Forward(x, exec_acts);
-  EXPECT_EQ(MaxAbsDiff(hand_acts.x, exec_acts.x), 0.0);
-
-  EncoderGradientsT<Half> hand_grads, exec_grads;  // both owning
-  hand.Backward(d_y, hand_acts, hand_grads);
-  exec.Backward(d_y, exec_acts, exec_grads);  // falls back to hand-wired
-  EXPECT_EQ(MaxAbsDiff(hand_grads.d_x, exec_grads.d_x), 0.0);
-  auto hand_named = hand_grads.params.Named();
-  auto exec_named = exec_grads.params.Named();
-  for (std::size_t p = 0; p < hand_named.size(); ++p) {
-    EXPECT_EQ(MaxAbsDiff(*hand_named[p].second, *exec_named[p].second), 0.0)
-        << hand_named[p].first;
-  }
-}
-
 TEST(GraphExecutor, RequiresExternalBindings) {
   // Running without binding the graph inputs/weights must fail loudly,
   // naming the container, instead of reading unbound memory.
   const auto dims = ModelDims::Tiny();
   const auto g =
       graph::BuildEncoder(dims, graph::AlgebraicFusion::kQKV, true);
-  auto arena = MakeEncoderArena<Half>(Config(dims, true, true));
+  const auto plan = graph::PlanMemory(g, EncoderPlanOptions<Half>());
+  Workspace workspace(plan.peak_bytes());
   graph::ExecutorOptions opts;
   opts.dropout_prob = 0.1f;
   opts.dropout_seeds = {1, 2, 3, 4};
   opts.stacked = EncoderPlanOptions<Half>().groups;
-  graph::GraphExecutorT<Half> exec(g, &arena.plan(), &arena.workspace(),
-                                   opts);
+  graph::GraphExecutorT<Half> exec(g, &plan, &workspace, opts);
   EXPECT_THROW(exec.Forward(), InvalidArgument);
 }
 

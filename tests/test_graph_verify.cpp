@@ -510,7 +510,7 @@ TEST(VerifyClean, EveryBuilderPlanPairVerifies) {
 
     const auto mha = BuildMha(dims, /*include_backward=*/true);
     for (const std::size_t elem : {sizeof(float), sizeof(Half)}) {
-      PlanOptions options;  // MakeMhaArena's options
+      PlanOptions options;  // d_out is a caller-provided graph input
       options.default_elem_bytes = elem;
       options.exclude = {"d_out"};
       const auto plan = PlanMemory(mha, options);

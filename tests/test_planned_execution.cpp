@@ -1,18 +1,17 @@
-// Planned (arena-backed) execution must be bitwise identical to owning
-// execution at every thread count, in both kernel styles -- planning
-// changes where bytes live, never their values -- and a steady-state
-// stack train step must perform zero allocations at the tensor layer.
+// Planned execution -- the whole-stack executor over one liveness-planned
+// slab -- must train bit for bit like the hand-wired reference, under the
+// serial and the concurrent schedule, and a steady-state train step must
+// perform zero allocations at the tensor layer.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "common/strings.hpp"
 #include "common/threadpool.hpp"
+#include "graph/executor.hpp"
 #include "tensor/memstats.hpp"
 #include "transformer/arena.hpp"
-#include "transformer/mha.hpp"
 #include "transformer/stack.hpp"
 #include "transformer/training.hpp"
 
@@ -43,90 +42,116 @@ Shape TinyIbj() {
   return Shape("ibj", {d.i, d.b, d.j});
 }
 
-TEST(PlannedExecution, EncoderMatchesOwningBitwise) {
-  for (int threads : {1, 2, 8}) {
-    ThreadGuard guard(threads);
-    for (bool fused : {true, false}) {
-      SCOPED_TRACE(StrFormat("threads=%d fused=%d", threads, int(fused)));
-      const auto cfg = TinyConfig(fused);
-      auto params = EncoderParamsT<Half>::Init(cfg.dims, 11);
-      EncoderLayerT<Half> layer(cfg, params);
-      auto x = TensorH::Random(TinyIbj(), 13);
+/// A two-layer Tiny stack being trained with MSE loss and Adam, either
+/// through the whole-stack executor or through the hand-wired reference.
+class TrainLoop {
+ public:
+  static constexpr int kLayers = 2;
 
-      auto arena = MakeEncoderArena<Half>(cfg);
-      EncoderActivationsT<Half> own_acts, plan_acts;
-      plan_acts.arena = &arena;
-      layer.Forward(x, own_acts);
-      layer.Forward(x, plan_acts);
-      EXPECT_EQ(MaxAbsDiff(own_acts.y, plan_acts.y), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.qq_b, plan_acts.qq_b), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.kk_b, plan_acts.kk_b), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.vv_b, plan_acts.vv_b), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.alpha, plan_acts.alpha), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.softmax_saved, plan_acts.softmax_saved),
-                0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.gamma_t, plan_acts.gamma_t), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.resid1, plan_acts.resid1), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.ln1_out, plan_acts.ln1_out), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.ln1_mean, plan_acts.ln1_mean), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.relu1, plan_acts.relu1), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.ff_dropped, plan_acts.ff_dropped), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.resid2, plan_acts.resid2), 0.0);
-
-      auto d_y = TensorH::Random(TinyIbj(), 17);
-      EncoderGradientsT<Half> own_grads, plan_grads;
-      plan_grads.arena = &arena;
-      layer.Backward(d_y, own_acts, own_grads);
-      layer.Backward(d_y, plan_acts, plan_grads);
-      EXPECT_EQ(MaxAbsDiff(own_grads.d_x, plan_grads.d_x), 0.0);
-      auto own_named = own_grads.params.Named();
-      auto plan_named = plan_grads.params.Named();
-      for (std::size_t p = 0; p < own_named.size(); ++p) {
-        EXPECT_EQ(MaxAbsDiff(*own_named[p].second, *plan_named[p].second),
-                  0.0)
-            << own_named[p].first;
+  TrainLoop(const EncoderConfig& cfg, bool executor)
+      : stack_(cfg, kLayers, 3),
+        x_(TensorH::Random(TinyIbj(), 5)),
+        target_(TensorH::Random(TinyIbj(), 6)),
+        d_y_(TinyIbj()),
+        opt_({.lr = 2e-3f}),
+        masters_(kLayers) {
+    if (executor) {
+      arena_.emplace(MakeStackArena<Half>(cfg, {.num_layers = kLayers}));
+    }
+    for (int l = 0; l < kLayers; ++l) {
+      for (auto& [name, t] : stack_.layer(l).params().Named()) {
+        masters_[static_cast<std::size_t>(l)].push_back(t->Cast<float>());
       }
     }
   }
+
+  /// Forward, loss, backward and one optimizer update; returns the loss.
+  double Step() {
+    const double loss = MseLoss(Forward(), target_, d_y_);
+    if (arena_) {
+      stack_.Backward(d_y_, *arena_, grads_);
+    } else {
+      stack_.Backward(d_y_, acts_, grads_);
+    }
+    for (int l = 0; l < kLayers; ++l) {
+      const auto lu = static_cast<std::size_t>(l);
+      auto named_params = stack_.layer(l).params().Named();
+      auto named_grads = grads_[lu].params.Named();
+      for (std::size_t p = 0; p < named_params.size(); ++p) {
+        opt_.Step(StrFormat("l%d.%s", l, named_params[p].first.c_str()),
+                  masters_[lu][p], *named_params[p].second,
+                  *named_grads[p].second);
+      }
+    }
+    return loss;
+  }
+
+  /// The current model's output, deep-copied (the executor's is an arena
+  /// view that the next step overwrites).
+  TensorH Output() {
+    const TensorH& y = Forward();
+    TensorH out(y.shape());
+    CopyValuesInto(y, out);
+    return out;
+  }
+
+ private:
+  const TensorH& Forward() {
+    return arena_ ? stack_.Forward(x_, *arena_) : stack_.Forward(x_, acts_);
+  }
+
+  EncoderStackT<Half> stack_;
+  std::optional<StackArenaT<Half>> arena_;
+  std::vector<EncoderActivationsT<Half>> acts_;
+  std::vector<EncoderGradientsT<Half>> grads_;
+  TensorH x_, target_, d_y_;
+  MixedPrecisionAdam opt_;
+  std::vector<std::vector<TensorF>> masters_;
+};
+
+TEST(PlannedExecution, WholeStackTrainsIdenticallyToHandWired) {
+  // Whole-loop equivalence including the optimizer trajectory: 4 executor
+  // train steps == 4 hand-wired train steps, bit for bit, with the serial
+  // step loop and with the concurrent task scheduler (any
+  // schedule-dependent result byte would compound across steps and show
+  // up here). The pool is forced wide so the scheduler overlaps steps.
+  ThreadGuard guard(8);
+  TrainLoop reference(TinyConfig(true), /*executor=*/false);
+  for (int s = 0; s < 4; ++s) reference.Step();
+  const TensorH want = reference.Output();
+  for (const bool scheduler : {false, true}) {
+    SCOPED_TRACE(StrFormat("scheduler=%d", int(scheduler)));
+    auto cfg = TinyConfig(true);
+    cfg.use_task_scheduler = scheduler;
+    TrainLoop loop(cfg, /*executor=*/true);
+    for (int s = 0; s < 4; ++s) loop.Step();
+    EXPECT_EQ(MaxAbsDiff(loop.Output(), want), 0.0);
+  }
 }
 
-TEST(PlannedExecution, MhaForwardAndBackwardMatchOwning) {
-  for (int threads : {1, 8}) {
-    ThreadGuard guard(threads);
-    for (bool causal : {false, true}) {
-      SCOPED_TRACE(StrFormat("threads=%d causal=%d", threads, int(causal)));
-      MhaConfig cfg;
-      cfg.dims = ModelDims::Tiny();
-      cfg.dropout_prob = 0.1f;
-      cfg.seed = 3;
-      cfg.causal = causal;
-      const auto d = cfg.dims;
-      MhaLayerT<Half> layer(cfg, MhaParamsT<Half>::Init(d, 5));
-      auto q = TensorH::Random(Shape("ibj", {d.i, d.b, d.j}), 7);
-      auto k = TensorH::Random(Shape("ibk", {d.i, d.b, d.k}), 8);
-      auto v = TensorH::Random(Shape("ibk", {d.i, d.b, d.k}), 9);
-
-      auto arena = MakeMhaArena<Half>(cfg);
-      MhaActivationsT<Half> own_acts, plan_acts;
-      plan_acts.arena = &arena;
-      layer.Forward(q, k, v, own_acts);
-      layer.Forward(q, k, v, plan_acts);
-      EXPECT_EQ(MaxAbsDiff(own_acts.out, plan_acts.out), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.alpha, plan_acts.alpha), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_acts.gamma_t, plan_acts.gamma_t), 0.0);
-
-      auto d_out = TensorH::Random(Shape("ibj", {d.i, d.b, d.j}), 21);
-      MhaGradientsT<Half> own_grads, plan_grads;
-      plan_grads.arena = &arena;  // backward is planned too (full graph)
-      layer.Backward(d_out, own_acts, own_grads);
-      layer.Backward(d_out, plan_acts, plan_grads);
-      EXPECT_EQ(MaxAbsDiff(own_grads.d_q, plan_grads.d_q), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_grads.d_k, plan_grads.d_k), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_grads.d_v, plan_grads.d_v), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_grads.params.wq, plan_grads.params.wq), 0.0);
-      EXPECT_EQ(MaxAbsDiff(own_grads.params.bo, plan_grads.params.bo), 0.0);
-    }
-  }
+TEST(PlannedExecution, SteadyStateTrainStepIsAllocationFree) {
+  // The planner's and the executor's steady-state contract: after warmup,
+  // a full train step (forward, loss, backward, optimizer) through the
+  // whole-stack executor performs zero tensor-buffer and zero workspace
+  // allocations AND zero einsum offset-table rebuilds, reclassifications
+  // or re-tunes (every per-(spec, shapes) cache is warm).
+  TrainLoop loop(TinyConfig(true), /*executor=*/true);
+  loop.Step();  // warmup: executor, accumulators, optimizer state, tables
+  const double warm_loss = loop.Step();
+  const auto before = memstats::Read();
+  const double loss = loop.Step();
+  const auto after = memstats::Read();
+  EXPECT_EQ(after.tensor_allocs, before.tensor_allocs)
+      << "steady-state step allocated "
+      << after.tensor_bytes - before.tensor_bytes << " tensor bytes";
+  EXPECT_EQ(after.workspace_allocs, before.workspace_allocs);
+  EXPECT_EQ(after.einsum_table_builds, before.einsum_table_builds)
+      << "steady-state step rebuilt einsum offset tables";
+  EXPECT_EQ(after.einsum_class_builds, before.einsum_class_builds)
+      << "steady-state step reclassified einsum contractions";
+  EXPECT_EQ(after.autotune_measures, before.autotune_measures)
+      << "steady-state step re-tuned a contraction bucket";
+  EXPECT_LT(loss, warm_loss);  // and it still trains
 }
 
 TEST(PlannedExecution, RepeatedBackwardIntoReusedGradientsIsIdempotent) {
@@ -147,113 +172,6 @@ TEST(PlannedExecution, RepeatedBackwardIntoReusedGradientsIsIdempotent) {
   for (std::size_t p = 0; p < rn.size(); ++p) {
     EXPECT_EQ(MaxAbsDiff(*rn[p].second, *fn[p].second), 0.0) << rn[p].first;
   }
-}
-
-TEST(PlannedExecution, SteadyStateTrainStepIsAllocationFree) {
-  // The planner's headline contract: after warmup, a full train step
-  // (forward, loss, backward, optimizer) on a planned stack performs zero
-  // tensor-buffer and zero workspace allocations.
-  const auto cfg = TinyConfig(true);
-  constexpr int kLayers = 2;
-  EncoderStackT<Half> stack(cfg, kLayers, 3);
-  EncoderStackWorkspaceT<Half> workspace(cfg, kLayers);
-  std::vector<EncoderActivationsT<Half>> acts;
-  std::vector<EncoderGradientsT<Half>> grads;
-  stack.BindWorkspace(workspace, acts, grads);
-
-  auto x = TensorH::Random(TinyIbj(), 5);
-  auto target = TensorH::Random(TinyIbj(), 6);
-  TensorH d_y(TinyIbj());
-  MixedPrecisionAdam opt({.lr = 1e-3f});
-  std::vector<std::vector<TensorF>> masters(kLayers);
-  for (int l = 0; l < kLayers; ++l) {
-    for (auto& [name, t] : stack.layer(l).params().Named()) {
-      masters[static_cast<std::size_t>(l)].push_back(t->Cast<float>());
-    }
-  }
-
-  double loss = 0;
-  auto step = [&] {
-    const auto& y = stack.Forward(x, acts);
-    loss = MseLoss(y, target, d_y);
-    stack.Backward(d_y, acts, grads);
-    for (int l = 0; l < kLayers; ++l) {
-      const auto lu = static_cast<std::size_t>(l);
-      auto named_params = stack.layer(l).params().Named();
-      auto named_grads = grads[lu].params.Named();
-      for (std::size_t p = 0; p < named_params.size(); ++p) {
-        opt.Step(StrFormat("l%d.%s", l, named_params[p].first.c_str()),
-                 masters[lu][p], *named_params[p].second,
-                 *named_grads[p].second);
-      }
-    }
-  };
-
-  step();  // warmup: gradient accumulators + optimizer state allocate here
-  step();
-  const double warm_loss = loss;
-  const auto before = memstats::Read();
-  step();
-  const auto after = memstats::Read();
-  EXPECT_EQ(after.tensor_allocs, before.tensor_allocs)
-      << "steady-state step allocated "
-      << after.tensor_bytes - before.tensor_bytes << " tensor bytes";
-  EXPECT_EQ(after.workspace_allocs, before.workspace_allocs);
-  EXPECT_EQ(after.einsum_table_builds, before.einsum_table_builds)
-      << "steady-state step rebuilt einsum offset tables";
-  EXPECT_EQ(after.einsum_class_builds, before.einsum_class_builds)
-      << "steady-state step reclassified einsum contractions";
-  EXPECT_EQ(after.autotune_measures, before.autotune_measures)
-      << "steady-state step re-tuned a contraction bucket";
-  EXPECT_LT(loss, warm_loss);  // and it still trains
-}
-
-TEST(PlannedExecution, PlannedStackTrainsIdenticallyToOwning) {
-  // Whole-loop equivalence: N planned train steps == N owning train steps,
-  // bit for bit, including the optimizer trajectory.
-  const auto cfg = TinyConfig(true);
-  constexpr int kLayers = 2;
-  auto run = [&](bool planned) {
-    EncoderStackT<Half> stack(cfg, kLayers, 3);
-    EncoderStackWorkspaceT<Half> workspace(cfg, planned ? kLayers : 1);
-    std::vector<EncoderActivationsT<Half>> acts;
-    std::vector<EncoderGradientsT<Half>> grads;
-    if (planned) stack.BindWorkspace(workspace, acts, grads);
-    auto x = TensorH::Random(TinyIbj(), 5);
-    auto target = TensorH::Random(TinyIbj(), 6);
-    TensorH d_y(TinyIbj());
-    MixedPrecisionAdam opt({.lr = 2e-3f});
-    std::vector<std::vector<TensorF>> masters(kLayers);
-    for (int l = 0; l < kLayers; ++l) {
-      for (auto& [name, t] : stack.layer(l).params().Named()) {
-        masters[static_cast<std::size_t>(l)].push_back(t->Cast<float>());
-      }
-    }
-    for (int s = 0; s < 4; ++s) {
-      const auto& y = stack.Forward(x, acts);
-      MseLoss(y, target, d_y);
-      stack.Backward(d_y, acts, grads);
-      for (int l = 0; l < kLayers; ++l) {
-        const auto lu = static_cast<std::size_t>(l);
-        auto named_params = stack.layer(l).params().Named();
-        auto named_grads = grads[lu].params.Named();
-        for (std::size_t p = 0; p < named_params.size(); ++p) {
-          opt.Step(StrFormat("l%d.%s", l, named_params[p].first.c_str()),
-                   masters[lu][p], *named_params[p].second,
-                   *named_grads[p].second);
-        }
-      }
-    }
-    // Deep-copy the result: in planned mode y is a view into the local
-    // workspace, and view copies alias.
-    const auto& y = stack.Forward(x, acts);
-    TensorH out(y.shape());
-    CopyValuesInto(y, out);
-    return out;
-  };
-  auto owning = run(false);
-  auto planned = run(true);
-  EXPECT_EQ(MaxAbsDiff(owning, planned), 0.0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Whole-stack executor parity: one graph (embedding -> N layers -> loss),
-// one plan, one slab -- bitwise identical to the per-layer hand-wired
-// path at every thread count, fused and unfused, checkpointed or not.
+// one plan, one slab -- bitwise identical to the hand-wired reference at
+// every thread count, fused and unfused, causal or not, serial or
+// concurrent schedule, checkpointed or not, on Tiny and BERT-base dims.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,13 +17,25 @@
 namespace xflow::transformer {
 namespace {
 
+bool UnderSanitizer() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return true;
+#else
+  return false;
+#endif
+#else
+  return false;
+#endif
+}
+
 EncoderConfig TestConfig(bool fused) {
   EncoderConfig cfg;
   cfg.dims = graph::ModelDims::Tiny();
   cfg.dropout_prob = 0.1f;  // nonzero: exercises the whole seed schedule
   cfg.use_fused_kernels = fused;
-  // The per-layer reference below must be the hand-wired kernel sequence.
-  cfg.use_graph_executor = false;
   return cfg;
 }
 
@@ -62,39 +75,77 @@ void ExpectWholeStackMatches(const EncoderStack& stack,
   }
 }
 
-void ParityAt(bool fused, bool scheduler, int threads) {
-  SCOPED_TRACE(::testing::Message() << "fused=" << fused << " scheduler="
-                                    << scheduler << " threads=" << threads);
-  ThreadPool::SetGlobalThreads(threads);
-  EncoderConfig cfg = TestConfig(fused);
-  cfg.use_task_scheduler = scheduler;
+/// One executor-vs-reference parity case: the hand-wired reference runs
+/// once, then the executor under the concurrent and under the serial
+/// schedule -- the scheduler may only change which thread runs a step,
+/// never a result byte.
+struct ParityCase {
+  graph::ModelDims dims = graph::ModelDims::Tiny();
+  int layers = 3;
+  bool causal = false;
+  bool fused = true;
+  int threads = 0;  // 0: keep the pool as configured (XFLOW_THREADS)
+};
+
+void ParityAt(const ParityCase& c) {
+  SCOPED_TRACE(::testing::Message()
+               << "i=" << c.dims.i << " layers=" << c.layers
+               << " causal=" << c.causal << " fused=" << c.fused
+               << " threads=" << c.threads);
+  if (c.threads > 0) ThreadPool::SetGlobalThreads(c.threads);
+  EncoderConfig cfg = TestConfig(c.fused);
+  cfg.dims = c.dims;
+  cfg.causal = c.causal;
   const auto& d = cfg.dims;
-  EncoderStack stack(cfg, 3, 21);
   const auto x = TensorH::Random(Ibj(d), 2);
   const auto d_y = TensorH::Random(Ibj(d), 3);
   std::vector<EncoderActivations> acts;
   std::vector<EncoderGradients> ref_grads;
-  HandWiredRun(stack, x, d_y, acts, ref_grads);
+  HandWiredRun(EncoderStack(cfg, c.layers, 21), x, d_y, acts, ref_grads);
 
-  auto arena = MakeStackArena<Half>(cfg, {.num_layers = 3});
-  ExpectWholeStackMatches(stack, arena, x, d_y, acts, ref_grads);
+  for (const bool scheduler : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "scheduler=" << scheduler);
+    cfg.use_task_scheduler = scheduler;
+    const EncoderStack stack(cfg, c.layers, 21);  // same seed, same weights
+    auto arena = MakeStackArena<Half>(cfg, {.num_layers = c.layers});
+    ExpectWholeStackMatches(stack, arena, x, d_y, acts, ref_grads);
+  }
   ThreadPool::SetGlobalThreads(ThreadPool::ResolveGlobalThreads());
 }
 
 TEST(WholeStack, BitwiseMatchesHandWiredFused) {
   for (const int threads : {1, 2, 8}) {
-    ParityAt(/*fused=*/true, /*scheduler=*/true, threads);
+    ParityAt({.fused = true, .threads = threads});
   }
 }
 
 TEST(WholeStack, BitwiseMatchesHandWiredUnfused) {
-  for (const int threads : {1, 8}) {
-    ParityAt(/*fused=*/false, /*scheduler=*/true, threads);
+  for (const int threads : {1, 2, 8}) {
+    ParityAt({.fused = false, .threads = threads});
   }
 }
 
-TEST(WholeStack, BitwiseMatchesHandWiredSerialSchedule) {
-  ParityAt(/*fused=*/true, /*scheduler=*/false, 8);
+TEST(WholeStack, BitwiseMatchesHandWiredCausal) {
+  for (const int threads : {1, 2, 8}) {
+    for (const bool fused : {true, false}) {
+      ParityAt({.causal = true, .fused = fused, .threads = threads});
+    }
+  }
+}
+
+TEST(WholeStack, BitwiseMatchesHandWiredBertBase) {
+  // Full-size dims, one layer, at the pool's configured width: the 1- and
+  // 8-thread CTest re-runs of this suite provide the thread-count
+  // coverage. Skipped under sanitizers, where the BERT-base contractions
+  // alone would dominate the job's budget (the Tiny cases above exercise
+  // every dispatch path there).
+  if (UnderSanitizer()) {
+    GTEST_SKIP() << "BERT-base bitwise suite is too slow under sanitizers";
+  }
+  for (const bool fused : {true, false}) {
+    ParityAt({.dims = graph::ModelDims::BertBase(), .layers = 1,
+              .fused = fused});
+  }
 }
 
 TEST(WholeStack, CheckpointedLayersStayBitwiseIdentical) {
@@ -190,7 +241,7 @@ TEST(WholeStack, EmbeddingAndLossHeadsMatchReference) {
   EXPECT_DOUBLE_EQ(ex.last_loss(), ref_loss);  // loss head runs in Forward
   // Read y before Backward: the loss op is its last consumer, so the plan
   // legitimately recycles its bytes during the backward pass.
-  const auto y = arena.arena().ViewAs<Half>("L1.y", Ibj(d));
+  const auto y = arena.ViewAs<Half>("L1.y", Ibj(d));
   EXPECT_EQ(MaxAbsDiff(y, acts.back().y), 0.0);
   ex.Backward();
   EXPECT_EQ(MaxAbsDiff(d_tok, ref_d_tok), 0.0);
