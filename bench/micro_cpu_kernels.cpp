@@ -14,12 +14,10 @@
 // scales; `--json[=path]` dumps all results as a perf baseline.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/threadpool.hpp"
-#include "config/autotune.hpp"
 #include "graph/builder.hpp"
 #include "graph/memory_plan.hpp"
 #include "graph/verify.hpp"
@@ -358,15 +356,17 @@ void BM_WholeStackStep(benchmark::State& state) {
 }
 BENCHMARK(BM_WholeStackStep)->ArgName("ckpt")->Arg(0)->Arg(1);
 
-void BM_WholeStackStepTaskSched(benchmark::State& state) {
+void BM_WholeStackStepTaskSched(benchmark::State& state, bool all_cores) {
   // The whole-stack train step again, sweeping the task scheduler: sched:0
   // runs the serial step loop, sched:1 dispatches dependency-free steps
   // concurrently over the work-stealing pool. On a multi-core box the
-  // 8-thread sched:1 row should beat sched:0 (independent QKV / dW
+  // all-cores sched:1 row should beat sched:0 (independent QKV / dW
   // branches overlap, across layers too); results are bitwise identical
-  // by test.
+  // by test. The multi-thread rows run the default pool width (one
+  // thread per core unless XFLOW_THREADS says otherwise): more pool
+  // threads than cores only measure the OS scheduler.
   using namespace xflow::transformer;
-  ThreadGuard threads(static_cast<int>(state.range(0)));
+  ThreadGuard threads(all_cores ? ThreadPool::ResolveGlobalThreads() : 1);
   EncoderConfig cfg;
   cfg.dims.b = 2;
   cfg.dims.j = cfg.dims.k = 32;
@@ -375,7 +375,7 @@ void BM_WholeStackStepTaskSched(benchmark::State& state) {
   cfg.dims.i = 64;
   cfg.dims.u = 128;
   cfg.dropout_prob = 0.1f;
-  cfg.use_task_scheduler = state.range(1) != 0;
+  cfg.use_task_scheduler = state.range(0) != 0;
   constexpr int kLayers = 2;
   EncoderStackT<Half> stack(cfg, kLayers, 3);
   auto arena = MakeStackArena<Half>(cfg, {.num_layers = kLayers});
@@ -391,11 +391,14 @@ void BM_WholeStackStepTaskSched(benchmark::State& state) {
     benchmark::DoNotOptimize(grads.front().d_x.data());
   }
 }
-BENCHMARK(BM_WholeStackStepTaskSched)
-    ->ArgNames({"threads", "sched"})
-    ->Args({1, 1})
-    ->Args({8, 0})
-    ->Args({8, 1})
+BENCHMARK_CAPTURE(BM_WholeStackStepTaskSched, threads:1, false)
+    ->ArgName("sched")
+    ->Arg(1)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_WholeStackStepTaskSched, threads:cores, true)
+    ->ArgName("sched")
+    ->Arg(0)
+    ->Arg(1)
     ->UseRealTime();
 
 void BM_WholeStackPlan(benchmark::State& state) {
@@ -484,36 +487,6 @@ BENCHMARK(BM_EinsumLowering)
     ->Args({1, 0, 8})
     ->Args({1, 1, 8})
     ->UseRealTime();
-
-void BM_AutotuneWarmVsCold(benchmark::State& state) {
-  // What tuning a cold bucket costs (best-of-two timing of every
-  // execution candidate) vs the warm steady state the executor lives in
-  // (one map lookup under a mutex).
-  ThreadGuard threads(1);
-  const bool warm = state.range(0) != 0;
-  const auto spec = EinsumSpec::Parse("mk,kn->mn");
-  const Shape a_shape("mk", {256, 256}), b_shape("kn", {256, 1});
-  auto a = TensorH::Random(a_shape, 1);
-  auto b = TensorH::Random(b_shape, 2);
-  TensorH out(Shape("mn", {256, 1}));
-  const auto& info = ClassifyEinsum(spec, a_shape, b_shape);
-  const auto bucket = config::BucketOf(info.cls, info.extents, 2);
-  const config::MeasureFn measure = [&](const EinsumExecConfig& cand) {
-    const auto t0 = std::chrono::steady_clock::now();
-    EinsumLowered(spec, info.cls, a, b, out, 1.0f, 0.0f, &cand);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-  if (warm) config::Autotune(bucket, measure, config::AutotuneMode::kMeasure);
-  for (auto _ : state) {
-    if (!warm) config::ResetAutotuneCacheForTesting();
-    const auto entry =
-        config::Autotune(bucket, measure, config::AutotuneMode::kMeasure);
-    benchmark::DoNotOptimize(entry.measured);
-  }
-}
-BENCHMARK(BM_AutotuneWarmVsCold)->ArgName("warm")->Arg(0)->Arg(1);
 
 /// Google Benchmark renamed Run::error_occurred to Run::skipped in v1.8;
 /// probe for whichever member this library version has.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <iterator>
 #include <stdexcept>
@@ -13,7 +12,6 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/threadpool.hpp"
-#include "config/autotune.hpp"
 #include "fusion/fuser.hpp"
 #include "graph/lowering.hpp"
 #include "ops/elementwise.hpp"
@@ -659,35 +657,8 @@ void GraphExecutorT<T>::DispatchSingle(const OpNode& op, int op_index) {
   switch (op.kind) {
     case OpKind::kContraction: {
       const ContractionOperands& o = contraction_operands_.at(op_index);
-      const EinsumSpec& spec = specs_.at(op_index);
-      const Tensor<T>& a = View(o.a);
-      const Tensor<T>& b = View(o.b);
-      Tensor<T>& out = MutableView(o.out);
-      const auto mode = config::AutotuneModeFromEnv();
-      if (mode == config::AutotuneMode::kOff) {
-        EinsumLowered(spec, op.lowered, a, b, out);
-        return;
-      }
-      // Online autotune: look up (or tune, once, process-wide) the
-      // execution strategy for this (class, shape bucket). Measuring
-      // re-runs the real dispatch -- legal because beta == 0 here, so
-      // every candidate writes the same bits the final run writes.
-      const EinsumClassInfo& info = ClassifyEinsum(spec, a.shape(),
-                                                   b.shape());
-      const auto bucket = config::BucketOf(
-          info.cls, info.extents,
-          static_cast<std::int64_t>(sizeof(T)));
-      const config::TunedEntry tuned = config::Autotune(
-          bucket,
-          [&](const EinsumExecConfig& cand) {
-            const auto t0 = std::chrono::steady_clock::now();
-            EinsumLowered(spec, op.lowered, a, b, out, 1.0f, 0.0f, &cand);
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                .count();
-          },
-          mode);
-      EinsumLowered(spec, op.lowered, a, b, out, 1.0f, 0.0f, &tuned.exec);
+      EinsumLowered(specs_.at(op_index), op.lowered, View(o.a), View(o.b),
+                    MutableView(o.out));
       return;
     }
     case OpKind::kBias: {

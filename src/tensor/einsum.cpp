@@ -277,17 +277,17 @@ const EinsumClassInfo& ClassifyEinsum(const EinsumSpec& spec,
 
 namespace {
 
-/// Default rows-per-task for the specialized row-partitioned kernels;
+/// Rows per pool task for the specialized row-partitioned kernels;
 /// matches the generic pipeline's M macro-tile height so a lowered gemv
 /// spawns about as many tasks as the GEMM it replaced.
-constexpr std::int64_t kDefaultRowGrain = 64;
+constexpr std::int64_t kRowGrain = 64;
 
 }  // namespace
 
 template <typename T>
 void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
-                   const Tensor<T>& b, Tensor<T>& out, float alpha, float beta,
-                   const EinsumExecConfig* exec) {
+                   const Tensor<T>& b, Tensor<T>& out, float alpha,
+                   float beta) {
   // Validate extents agree across operands.
   for (char d : spec.k_dims) {
     require(a.extent(d) == b.extent(d),
@@ -340,9 +340,6 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
 
   const auto m = static_cast<std::int64_t>(a_m.size());
   const auto n = static_cast<std::int64_t>(b_n.size());
-  const std::int64_t row_grain =
-      exec != nullptr && exec->row_grain > 0 ? exec->row_grain
-                                             : kDefaultRowGrain;
 
   // One inner GEMM/kernel of the batch. Specialized classes index the
   // same offset tables as the generic path, with degenerate (size-1)
@@ -358,15 +355,15 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
       case EinsumClass::kGemv:
         if (n == 1) {
           GemvOffsets<T, T>(pa, pb + b_n[0], pc + c_n[0], a_m, a_k, b_k, c_m,
-                            alpha, beta, row_grain);
+                            alpha, beta, kRowGrain);
         } else {  // m == 1: the matrix is b, the vector is a.
           GemvOffsets<T, T>(pb, pa + a_m[0], pc + c_m[0], b_n, b_k, a_k, c_n,
-                            alpha, beta, row_grain);
+                            alpha, beta, kRowGrain);
         }
         break;
       case EinsumClass::kGer:
         GerOffsets<T, T>(pa + a_k[0], pb + b_k[0], pc, a_m, b_n, c_m, c_n,
-                         alpha, beta, row_grain);
+                         alpha, beta, kRowGrain);
         break;
       case EinsumClass::kReduction:
         DotOffsets<T, T>(pa + a_m[0], pb + b_n[0], pc + c_m[0] + c_n[0], a_k,
@@ -376,11 +373,11 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
         if (n == 1) {  // covers the fully-degenerate single-element case
           ScaledCopyOffsets<T, T>(pa + a_k[0], float(pb[b_k[0] + b_n[0]]),
                                   pc + c_n[0], a_m, c_m, alpha, beta,
-                                  row_grain);
+                                  kRowGrain);
         } else {  // m == 1: copy b, scaled by a's single element.
           ScaledCopyOffsets<T, T>(pb + b_k[0], float(pa[a_m[0] + a_k[0]]),
                                   pc + c_m[0], b_n, c_n, alpha, beta,
-                                  row_grain);
+                                  kRowGrain);
         }
         break;
       default:  // kGemm / kBatchedGemm: the generic macro-tile pipeline.
@@ -396,19 +393,16 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
   // few coarse batch tasks, so the batch loop stays serial (the inner
   // kernels run inline when called from a pool worker). Either path
   // performs the same per-element arithmetic, so results do not depend
-  // on thread count -- which also makes the choice a legal autotuner
-  // knob (EinsumExecConfig::batch_parallel).
+  // on thread count.
   const auto batches = static_cast<std::int64_t>(a_batch.size());
   std::int64_t inner_tasks = 1;
   switch (cls) {
     case EinsumClass::kGemv:
-      inner_tasks = ((n == 1 ? m : n) + row_grain - 1) / row_grain;
+    case EinsumClass::kView:
+      inner_tasks = ((n == 1 ? m : n) + kRowGrain - 1) / kRowGrain;
       break;
     case EinsumClass::kGer:
-      inner_tasks = (m + row_grain - 1) / row_grain;
-      break;
-    case EinsumClass::kView:
-      inner_tasks = ((n == 1 ? m : n) + row_grain - 1) / row_grain;
+      inner_tasks = (m + kRowGrain - 1) / kRowGrain;
       break;
     case EinsumClass::kReduction:
       inner_tasks = 1;
@@ -419,10 +413,7 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
   }
   const std::int64_t threads = ThreadPool::Global().threads();
   const bool batch_par =
-      batches > 1 &&
-      (exec != nullptr && exec->batch_parallel >= 0
-           ? exec->batch_parallel != 0
-           : batches >= threads || inner_tasks < threads);
+      batches > 1 && (batches >= threads || inner_tasks < threads);
   if (batch_par) {
     ParallelFor(batches, 1, run_one);
   } else {
@@ -433,8 +424,7 @@ void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
 template <typename T>
 void EinsumInto(const EinsumSpec& spec, const Tensor<T>& a, const Tensor<T>& b,
                 Tensor<T>& out, float alpha, float beta) {
-  EinsumLowered(spec, EinsumClass::kUnclassified, a, b, out, alpha, beta,
-                nullptr);
+  EinsumLowered(spec, EinsumClass::kUnclassified, a, b, out, alpha, beta);
 }
 
 template <typename T>
@@ -483,12 +473,10 @@ TensorF EinsumRef(const EinsumSpec& spec, const Tensor<T>& a,
 
 template void EinsumLowered<Half>(const EinsumSpec&, EinsumClass,
                                   const Tensor<Half>&, const Tensor<Half>&,
-                                  Tensor<Half>&, float, float,
-                                  const EinsumExecConfig*);
+                                  Tensor<Half>&, float, float);
 template void EinsumLowered<float>(const EinsumSpec&, EinsumClass,
                                    const Tensor<float>&, const Tensor<float>&,
-                                   Tensor<float>&, float, float,
-                                   const EinsumExecConfig*);
+                                   Tensor<float>&, float, float);
 template void EinsumInto<Half>(const EinsumSpec&, const Tensor<Half>&,
                                const Tensor<Half>&, Tensor<Half>&, float,
                                float);

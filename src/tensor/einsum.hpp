@@ -52,19 +52,6 @@ const EinsumClassInfo& ClassifyEinsum(const EinsumSpec& spec,
                                       const Shape& a_shape,
                                       const Shape& b_shape);
 
-/// Execution-strategy knobs of one contraction dispatch. Every setting is
-/// numerics-free by construction -- each output element is computed start
-/// to finish by one thread in a fixed ascending-k order -- so the online
-/// autotuner (config/autotune.hpp) may pick any of them and results stay
-/// bitwise identical at every thread count.
-struct EinsumExecConfig {
-  /// Parallelize the batch loop (1), the per-GEMM tiles/rows (0), or let
-  /// the built-in heuristic decide (-1).
-  int batch_parallel = -1;
-  /// Rows per pool task in the gemv/ger row partition; 0 = default.
-  std::int64_t row_grain = 0;
-};
-
 /// out = alpha * einsum(a, b) + beta * out. `out` must already be shaped with
 /// exactly the spec's output dims (any memory order -- layouts are free).
 /// Classifies via the cache and dispatches through the lowered kernel set.
@@ -78,13 +65,11 @@ void EinsumInto(const EinsumSpec& spec, const Tensor<T>& a, const Tensor<T>& b,
 /// kBatchedGemm always run the generic macro-tile pipeline -- passing
 /// kGemm forces the generic path for any shape, which is how the bitwise
 /// specialized-vs-generic tests and benches get their baseline --
-/// and kUnclassified classifies on the fly. `exec`, when non-null,
-/// overrides the parallelization heuristics (see EinsumExecConfig).
+/// and kUnclassified classifies on the fly.
 template <typename T>
 void EinsumLowered(const EinsumSpec& spec, EinsumClass cls, const Tensor<T>& a,
                    const Tensor<T>& b, Tensor<T>& out, float alpha = 1.0f,
-                   float beta = 0.0f,
-                   const EinsumExecConfig* exec = nullptr);
+                   float beta = 0.0f);
 
 /// Convenience: allocates the output with dims in spec order.
 template <typename T>

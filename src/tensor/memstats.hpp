@@ -11,6 +11,10 @@
 // (Other engine-internal scratch -- reduction partials, per-thread tile
 // staging -- is not tensor storage and is not counted; it is bounded and
 // reused per thread.)
+//
+// autotune_measures / autotune_hits are always 0: nothing records them.
+// They stay in Snapshot only because the training-step benchmark
+// (perfbench/step_runner.cpp) still reads them.
 #pragma once
 
 #include <atomic>
@@ -26,8 +30,8 @@ struct Snapshot {
   std::int64_t workspace_bytes = 0;   // total bytes of those slabs
   std::int64_t einsum_table_builds = 0;  // einsum offset-table cache misses
   std::int64_t einsum_class_builds = 0;  // einsum classification cache misses
-  std::int64_t autotune_measures = 0;    // autotune cache fills (cold tunes)
-  std::int64_t autotune_hits = 0;        // autotune cache hits (warm lookups)
+  std::int64_t autotune_measures = 0;    // always 0 (see above)
+  std::int64_t autotune_hits = 0;        // always 0 (see above)
 };
 
 namespace internal {
@@ -37,8 +41,6 @@ inline std::atomic<std::int64_t> workspace_allocs{0};
 inline std::atomic<std::int64_t> workspace_bytes{0};
 inline std::atomic<std::int64_t> einsum_table_builds{0};
 inline std::atomic<std::int64_t> einsum_class_builds{0};
-inline std::atomic<std::int64_t> autotune_measures{0};
-inline std::atomic<std::int64_t> autotune_hits{0};
 }  // namespace internal
 
 inline void RecordTensorAlloc(std::int64_t bytes) {
@@ -59,14 +61,6 @@ inline void RecordEinsumClassBuild() {
   internal::einsum_class_builds.fetch_add(1, std::memory_order_relaxed);
 }
 
-inline void RecordAutotuneMeasure() {
-  internal::autotune_measures.fetch_add(1, std::memory_order_relaxed);
-}
-
-inline void RecordAutotuneHit() {
-  internal::autotune_hits.fetch_add(1, std::memory_order_relaxed);
-}
-
 inline Snapshot Read() {
   Snapshot s;
   s.tensor_allocs = internal::tensor_allocs.load(std::memory_order_relaxed);
@@ -79,9 +73,6 @@ inline Snapshot Read() {
       internal::einsum_table_builds.load(std::memory_order_relaxed);
   s.einsum_class_builds =
       internal::einsum_class_builds.load(std::memory_order_relaxed);
-  s.autotune_measures =
-      internal::autotune_measures.load(std::memory_order_relaxed);
-  s.autotune_hits = internal::autotune_hits.load(std::memory_order_relaxed);
   return s;
 }
 

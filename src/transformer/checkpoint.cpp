@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 
 #include "common/error.hpp"
@@ -74,16 +75,45 @@ void WriteTensor(std::ostream& os, const std::string& name,
   }
 }
 
+/// Bytes between the read position and the end of the stream.
+std::int64_t BytesLeft(std::istream& is) {
+  const auto pos = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto end = is.tellg();
+  is.seekg(pos);
+  require(bool(is) && pos >= 0 && end >= pos, "checkpoint is not seekable");
+  return static_cast<std::int64_t>(end - pos);
+}
+
 std::pair<std::string, TensorH> ReadTensor(std::istream& is) {
   const std::string name = ReadString(is);
   const auto rank = ReadU32(is);
   require(rank <= 8, "implausible tensor rank in checkpoint");
+  // The extents come straight from disk: bound the element count before
+  // allocating, so a corrupt or hostile file fails by name instead of
+  // asking for an overflowed or multi-TiB buffer.
+  constexpr auto kMaxElems =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  std::uint64_t elems = 1;
   std::vector<DimExt> dims;
   for (std::uint32_t d = 0; d < rank; ++d) {
     const char c = static_cast<char>(is.get());
-    const auto extent = static_cast<std::int64_t>(ReadU64(is));
-    dims.push_back({c, extent});
+    const std::uint64_t extent = ReadU64(is);
+    require(extent > 0 && extent <= kMaxElems / elems,
+            StrFormat("checkpoint tensor '%s': element count overflows "
+                      "(dim '%c' extent %llu)",
+                      name.c_str(), c,
+                      static_cast<unsigned long long>(extent)));
+    elems *= extent;
+    dims.push_back({c, static_cast<std::int64_t>(extent)});
   }
+  const std::int64_t left = BytesLeft(is);
+  require(elems <= static_cast<std::uint64_t>(left) / sizeof(std::uint16_t),
+          StrFormat("checkpoint tensor '%s': %llu elements need %llu payload "
+                    "bytes but only %lld remain",
+                    name.c_str(), static_cast<unsigned long long>(elems),
+                    static_cast<unsigned long long>(elems) * 2ull,
+                    static_cast<long long>(left)));
   TensorH t{Shape(std::move(dims))};
   for (std::int64_t e = 0; e < t.size(); ++e) {
     std::uint16_t bits = 0;

@@ -286,23 +286,17 @@ void ExpectClassBitwiseEqual(const std::string& spec_str,
     ThreadGuard guard(1);
     EinsumLowered(spec, EinsumClass::kGemm, a, b, baseline);
   }
-  // Exec-config overrides are numerics-free by contract, so sweep a few.
-  const EinsumExecConfig tile16{.batch_parallel = 0, .row_grain = 16};
-  const EinsumExecConfig batch3{.batch_parallel = 1, .row_grain = 3};
   for (int threads : {1, 2, 8}) {
     ThreadGuard guard(threads);
-    for (const EinsumExecConfig* exec :
-         {static_cast<const EinsumExecConfig*>(nullptr), &tile16, &batch3}) {
-      for (EinsumClass cls : {want, EinsumClass::kGemm}) {
-        Tensor<T> out{out_shape};
-        EinsumLowered(spec, cls, a, b, out, 1.0f, 0.0f, exec);
-        ASSERT_EQ(out.size(), baseline.size());
-        EXPECT_EQ(std::memcmp(out.data(), baseline.data(),
-                              sizeof(T) * static_cast<std::size_t>(out.size())),
-                  0)
-            << spec_str << " cls=" << ToString(cls) << " threads=" << threads
-            << (reversed ? " reversed" : " natural");
-      }
+    for (EinsumClass cls : {want, EinsumClass::kGemm}) {
+      Tensor<T> out{out_shape};
+      EinsumLowered(spec, cls, a, b, out);
+      ASSERT_EQ(out.size(), baseline.size());
+      EXPECT_EQ(std::memcmp(out.data(), baseline.data(),
+                            sizeof(T) * static_cast<std::size_t>(out.size())),
+                0)
+          << spec_str << " cls=" << ToString(cls) << " threads=" << threads
+          << (reversed ? " reversed" : " natural");
     }
   }
 }
@@ -319,6 +313,15 @@ void SweepClassesBitwise(bool reversed) {
                              EinsumClass::kGemv, reversed);
   // Batched gemv (empty batch covered by every spec above).
   ExpectClassBitwiseEqual<T>("bmk,bk->bm", {{'b', 5}, {'m', 40}, {'k', 17}},
+                             EinsumClass::kGemv, reversed);
+  // Both branches of the batch rule (parallelize the batch loop when
+  // batches >= threads or the inner kernel has fewer tasks than threads):
+  // with 2 batches of 12 GEMM tiles / 10 gemv row tasks, 1 and 2 threads
+  // run the batch loop on the pool and 8 threads run it serially.
+  ExpectClassBitwiseEqual<T>("bmk,bkn->bmn",
+                             {{'b', 2}, {'m', 200}, {'k', 33}, {'n', 200}},
+                             EinsumClass::kBatchedGemm, reversed);
+  ExpectClassBitwiseEqual<T>("bmk,bk->bm", {{'b', 2}, {'m', 600}, {'k', 33}},
                              EinsumClass::kGemv, reversed);
   // ger / outer product (k == 1 two ways).
   ExpectClassBitwiseEqual<T>("m,n->mn", {{'m', 40}, {'n', 23}},

@@ -50,18 +50,19 @@ TEST(FusedBRD, MatchesBiasReluDropoutPipeline) {
   EXPECT_EQ(MaxAbsDiff(m_ref, m_f), 0.0);
 }
 
-TEST(FusedBDRLN, MatchesFourOperatorPipeline) {
-  const Shape ibj("ibj", {16, 2, 4});
+void ExpectBdrlnMatchesFourOperatorPipeline(const Shape& ibj) {
+  const Shape i("i", {ibj.extent('i')});
+  const Shape bj("bj", {ibj.extent('b'), ibj.extent('j')});
   auto x = TensorH::Random(ibj, 7);
-  auto bias = TensorH::Random(Shape("i", {16}), 8);
+  auto bias = TensorH::Random(i, 8);
   auto resid_in = TensorH::Random(ibj, 9);
-  auto gamma = TensorH::Random(Shape("i", {16}), 10);
-  auto beta = TensorH::Random(Shape("i", {16}), 11);
+  auto gamma = TensorH::Random(i, 10);
+  auto beta = TensorH::Random(i, 11);
   DropoutMask mask(321, 0.25f);
 
   // Unfused pipeline: bias -> dropout -> residual -> layernorm.
   TensorH biased(ibj), dropped(ibj), m_ref(ibj), resid_ref(ibj), y_ref(ibj);
-  TensorF mean_ref(Shape("bj", {2, 4})), rstd_ref(Shape("bj", {2, 4}));
+  TensorF mean_ref(bj), rstd_ref(bj);
   BiasForward(x, bias, biased);
   DropoutForward(biased, mask, dropped, m_ref);
   ResidualForward(dropped, resid_in, resid_ref);
@@ -69,13 +70,25 @@ TEST(FusedBDRLN, MatchesFourOperatorPipeline) {
                    rstd_ref);
 
   TensorH resid_f(ibj), m_f(ibj), y_f(ibj);
-  TensorF mean_f(Shape("bj", {2, 4})), rstd_f(Shape("bj", {2, 4}));
+  TensorF mean_f(bj), rstd_f(bj);
   BiasDropoutResidualLayerNorm(x, bias, resid_in, mask, gamma, beta, 'i',
                                kEps, resid_f, m_f, y_f, mean_f, rstd_f);
   EXPECT_EQ(MaxAbsDiff(resid_ref, resid_f), 0.0);
   EXPECT_EQ(MaxAbsDiff(m_ref, m_f), 0.0);
   EXPECT_EQ(MaxAbsDiff(y_ref, y_f), 0.0);
   EXPECT_EQ(MaxAbsDiff(mean_ref, mean_f), 0.0);
+}
+
+TEST(FusedBDRLN, MatchesFourOperatorPipeline) {
+  ExpectBdrlnMatchesFourOperatorPipeline(Shape("ibj", {16, 2, 4}));
+}
+
+// BERT-base size. A mismatch here comes from the two paths compiling the
+// same `(x - mu) * rs * gamma + beta` differently (one contracted into an
+// FMA, one not). The result rounds to a different fp16 value in roughly
+// one element in 7000, so small tensors rarely show it.
+TEST(FusedBDRLN, MatchesFourOperatorPipelineAtBertBaseSize) {
+  ExpectBdrlnMatchesFourOperatorPipeline(Shape("ibj", {768, 8, 128}));
 }
 
 TEST(FusedBLNRD, MatchesLayerNormDxThenDropoutDx) {

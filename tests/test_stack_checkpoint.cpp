@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -79,7 +81,12 @@ TEST(EncoderStack, NamedParamsArePrefixedAndComplete) {
 class CheckpointTest : public ::testing::Test {
  protected:
   void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_ = "/tmp/xflow_ckpt_test.bin";
+  // Unique per fixture: ctest runs this suite at several thread counts
+  // at once, and concurrent runs must not rewrite each other's file.
+  std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       ("xflow_ckpt_test_" + std::to_string(std::random_device{}()) + ".bin"))
+          .string();
 };
 
 TEST_F(CheckpointTest, RoundTripsBitExactly) {
@@ -122,6 +129,36 @@ TEST_F(CheckpointTest, RejectsGarbageFiles) {
   std::fclose(f);
   TensorH t(Shape("x", {4}));
   EXPECT_THROW(LoadCheckpoint(path_, {{"a", &t}}), InvalidArgument);
+}
+
+TEST_F(CheckpointTest, RejectsExtentsPastThePayloadOrInt64) {
+  // One tensor "a" [x:4, y:4]. On disk: the 12-byte header, the name (u32
+  // length + 1 byte), the rank (u32), then per dim a name byte and the
+  // u64 extent -- so x's extent starts at byte 22.
+  constexpr std::streamoff kXExtent = 12 + 4 + 1 + 4 + 1;
+  auto a = TensorH::Random(Shape("xy", {4, 4}), 7);
+  const auto save_with_x = [&](std::uint64_t extent) {
+    SaveCheckpoint(path_, {{"a", &a}});
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(kXExtent);
+    f.write(reinterpret_cast<const char*>(&extent), sizeof(extent));
+    ASSERT_TRUE(bool(f));
+  };
+  const auto expect_named_rejection = [&] {
+    TensorH dst(Shape("xy", {4, 4}));
+    try {
+      LoadCheckpoint(path_, {{"a", &dst}});
+      FAIL() << "expected InvalidArgument";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("tensor 'a'"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(InspectCheckpoint(path_), InvalidArgument);
+  };
+  save_with_x(std::uint64_t{1} << 40);  // 2^42 elements, 8 TiB of payload
+  expect_named_rejection();
+  save_with_x(std::uint64_t{1} << 62);  // 2^62 * 4 overflows int64
+  expect_named_rejection();
 }
 
 TEST_F(CheckpointTest, InspectListsContents) {
